@@ -1,10 +1,14 @@
 """Betweenness centrality through split trees, with exact rationals.
 
-Components carry two vertex weights: a path-cost multiplicity (the size of
-the boundary a marker stands for) and an endpoint mass (how many real
-vertices it stands for).  Each component is solved locally under those
-weights; marker corrective terms flow leafward then rootward, and the two
-contributions add up to plain Brandes values on the original graph.
+Components carry two vertex weights: a path-cost multiplicity alpha (the
+size of the boundary a marker stands for) and an endpoint mass beta (how
+many real vertices it stands for).  Both come from one rule given to
+``SplitTreeIndex.reroot``: alpha sums over a slot's neighbours, beta over
+all other slots.  Each component is then solved locally under those
+weights, and a second rule sends the corrective terms: a slot passes on
+its local value plus the terms arriving at its neighbours.  A real
+vertex's betweenness is that same sum, the plain Brandes value on the
+original graph.
 """
 
 from __future__ import annotations
@@ -14,7 +18,8 @@ from fractions import Fraction
 
 from .graph import DisconnectedGraphError, Graph
 from .modular import NDPartition
-from .splitdec import COMPLETE, STAR, SplitTree, SplitTreeIndex
+from .splitdec import (COMPLETE, STAR, SplitComponent, SplitTree,
+                       SplitTreeIndex, neighbor_sums)
 
 
 def _require_connected(g: Graph) -> None:
@@ -75,21 +80,19 @@ def weighted_component_bc(adj: list[list[int]], alpha: list[int],
     return out
 
 
-def _component_bc_vector(idx: SplitTreeIndex, c: int, alpha, beta) -> list[Fraction]:
-    comp = idx.st.components[c]
+def _component_bc_vector(comp: SplitComponent, alpha: list[int],
+                         beta: list[int]) -> list[int | Fraction]:
     size = len(comp.labels)
-    if size == 1:
-        return [Fraction(0)]
     if comp.kind == COMPLETE:
-        return [Fraction(0)] * size
+        return [0] * size
     if comp.kind == STAR:
         r = comp.center
         total = sum(beta[v] for v in range(size) if v != r)
         acc = sum(beta[v] * (total - beta[v]) for v in range(size) if v != r)
-        out = [Fraction(0)] * size
+        out: list[int | Fraction] = [0] * size
         out[r] = Fraction(acc, 2 * alpha[r])
         return out
-    return weighted_component_bc(idx.local_adj[c], alpha, beta)
+    return weighted_component_bc(comp.adj, alpha, beta)
 
 
 def betweenness_over_tree(g: Graph, st: SplitTree) -> list[Fraction]:
@@ -97,102 +100,35 @@ def betweenness_over_tree(g: Graph, st: SplitTree) -> list[Fraction]:
         return [Fraction(0)]
     idx = SplitTreeIndex(st)
     comps = st.components
-    nedges = len(st.tree_edges)
 
-    # boundary sizes and subtree masses per tree edge, both directions
-    size_down = [0] * nedges
-    mass_down = [0] * nedges
-    for c in reversed(idx.order):
-        e = idx.parent_edge[c]
-        if e is None:
-            continue
-        size_down[e] = _boundary_size(idx, c, idx.up_local[c], size_down, None)
-        mass_down[e] = sum(1 for lab in comps[c].labels if lab >= 0) + \
-            sum(mass_down[ce] for ce, _, _ in idx.children[c])
-    size_up = [0] * nedges
-    for c in idx.order:
-        for e, child, loc in idx.children[c]:
-            size_up[e] = _boundary_size(idx, c, loc, size_down, size_up)
+    def weights(c: int, vals: list[tuple[int, int]],
+                targets: list[int]) -> list[tuple[int, int]]:
+        """(alpha, beta) behind each target: boundary size and mass."""
+        alphas = neighbor_sums(comps[c], [a for a, _ in vals], targets)
+        mass = sum(b for _, b in vals)
+        return [(a, mass - vals[t][1]) for a, t in zip(alphas, targets)]
 
-    # per-component weights
-    alphas: list[list[int]] = []
-    betas: list[list[int]] = []
+    _, _, weighted = idx.reroot((1, 1), weights)
+    local = []
     for c, comp in enumerate(comps):
-        alpha = [1] * len(comp.labels)
-        beta = [1] * len(comp.labels)
-        for e, child, loc in idx.children[c]:
-            alpha[loc] = size_down[e]
-            beta[loc] = mass_down[e]
-        if idx.up_local[c] is not None:
-            e = idx.parent_edge[c]
-            alpha[idx.up_local[c]] = size_up[e]
-            beta[idx.up_local[c]] = g.n - mass_down[e]
-        alphas.append(alpha)
-        betas.append(beta)
+        vals = weighted(c)
+        local.append(_component_bc_vector(comp, [a for a, _ in vals],
+                                          [b for _, b in vals]))
 
-    bch = [_component_bc_vector(idx, c, alphas[c], betas[c])
-           for c in range(len(comps))]
+    def corrective(c: int, vals: list, targets: list[int]) -> list:
+        """Local value plus the corrective terms behind the neighbours."""
+        own = local[c]
+        sums = neighbor_sums(comps[c], vals, targets)
+        return [x + own[t] if own[t] else x for x, t in zip(sums, targets)]
 
-    bc_in: list[list[Fraction]] = [None] * len(comps)   # type: ignore
-    for c in reversed(idx.order):
-        comp = comps[c]
-        ell = {loc: bc_in[child][idx.up_local[child]]
-               for _, child, loc in idx.children[c]}
-        vec = []
-        for u in range(len(comp.labels)):
-            val = bch[c][u]
-            for w in idx.local_adj[c][u]:
-                if w in ell:
-                    val += ell[w]
-            vec.append(val)
-        bc_in[c] = vec
-
-    bc_out: list[Fraction] = [Fraction(0)] * nedges
-    for c in idx.order:
-        comp = comps[c]
-        if not idx.children[c]:
-            continue
-        ell = {loc: bc_in[child][idx.up_local[child]]
-               for _, child, loc in idx.children[c]}
-        up = idx.up_local[c]
-        if up is not None:
-            ell[up] = bc_out[idx.parent_edge[c]]
-        for e, child, loc in idx.children[c]:
-            val = bch[c][loc]
-            for w in idx.local_adj[c][loc]:
-                if w in ell and w != loc:
-                    val += ell[w]
-            bc_out[e] = val
-
+    _, _, arriving = idx.reroot(0, corrective)
     out: list[Fraction] = [Fraction(0)] * g.n
-    for c in idx.order:
-        comp = comps[c]
-        up = idx.up_local[c]
-        up_nbrs = set(idx.local_adj[c][up]) if up is not None else set()
-        for li, lab in enumerate(comp.labels):
-            if lab < 0:
-                continue
-            val = bc_in[c][li]
-            if up is not None and li in up_nbrs:
-                val += bc_out[idx.parent_edge[c]]
-            out[lab] = val
+    for c, comp in enumerate(comps):
+        reals = [li for li, lab in enumerate(comp.labels) if lab >= 0]
+        for li, val in zip(reals, corrective(c, arriving(c), reals)):
+            if val:
+                out[comp.labels[li]] = val
     return out
-
-
-def _boundary_size(idx: SplitTreeIndex, c: int, marker_loc: int,
-                   size_down, size_up) -> int:
-    comp = idx.st.components[c]
-    child_slot = {loc: e for e, _, loc in idx.children[c]}
-    total = 0
-    for v in idx.local_adj[c][marker_loc]:
-        lab = comp.labels[v]
-        if lab >= 0:
-            total += 1
-        elif v == idx.up_local[c]:
-            total += size_up[idx.parent_edge[c]]
-        else:
-            total += size_down[child_slot[v]]
-    return total
 
 
 def betweenness_split(g: Graph, st: SplitTree) -> list[Fraction]:

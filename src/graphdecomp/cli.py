@@ -15,18 +15,16 @@ import time
 from fractions import Fraction
 
 from .bc import betweenness_nd, betweenness_split
-from .blossom import Matching
-from .classify import classify_prime_graph, effective_q
+from .classify import effective_q
 from .distances import UNREACHABLE, Half, dist_str
 from .ecc import eccentricities_modular, eccentricities_qq3, eccentricities_split
-from .families import (FAMILY_NAMES, FamilySpec, gen_family, random_instance)
+from .families import FAMILY_NAMES, random_instance
 from .graph import (DisconnectedGraphError, Graph, GraphError, read_edgelist,
                     write_edgelist)
 from .hyp import (hyperbolicity_mw_gate, hyperbolicity_nd, hyperbolicity_qq3,
                   hyperbolicity_split)
-from .kexpr import (dp_girth, dp_triangle_count, eval_kexpr,
-                    kexpr_from_modular, parse_kexpr, random_irredundant_kexpr,
-                    serialize_kexpr)
+from .kexpr import (dp_girth, dp_triangle_count, kexpr_from_modular,
+                    parse_kexpr)
 from .matching import max_matching_modular, max_matching_qq3
 from .modular import modular_decomposition, modular_width, nd_partition
 from .oracles import (oracle_betweenness, oracle_cycle_stats,
@@ -34,12 +32,7 @@ from .oracles import (oracle_betweenness, oracle_cycle_stats,
                       oracle_maximum_matching)
 from .splitdec import split_decomposition, split_width
 
-DEFAULT_ORACLE_CAPS = {"hyp": 40, "bc": 200, "match": 500, "ecc": 2000,
-                       "girth": 2000, "triangles": 2000}
-
-
-class CheckMismatch(Exception):
-    pass
+HYP_ORACLE_CAP = 40
 
 
 def _load_graph(path: str) -> Graph:
@@ -338,18 +331,21 @@ def make_parser() -> argparse.ArgumentParser:
                     "cross-checks")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, methods=None, graph=True):
-        if graph:
-            p.add_argument("graph", nargs="?", default="-",
-                           help="edge-list file ('-' for stdin)")
+    def common(p, methods=None):
+        p.add_argument("graph", nargs="?", default="-",
+                       help="edge-list file ('-' for stdin)")
         if methods:
             p.add_argument("--method", choices=methods, default=methods[0])
+
+    def rows_format(p):
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--oracle-cap", type=int,
-                       default=DEFAULT_ORACLE_CAPS["hyp"])
+
+    def oracle_cap(p):
+        p.add_argument("--oracle-cap", type=int, default=HYP_ORACLE_CAP)
 
     p = sub.add_parser("ecc", help="per-vertex eccentricities")
     common(p, ("split", "modular", "qq3", "oracle"))
+    rows_format(p)
     p.set_defaults(func=cmd_ecc)
 
     p = sub.add_parser("diameter", help="graph diameter")
@@ -358,10 +354,12 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hyp", help="Gromov hyperbolicity (exact half-integer)")
     common(p, ("split", "nd", "qq3", "mw", "oracle"))
+    oracle_cap(p)
     p.set_defaults(func=cmd_hyp)
 
     p = sub.add_parser("bc", help="betweenness centrality (exact rationals)")
     common(p, ("split", "nd", "oracle"))
+    rows_format(p)
     p.set_defaults(func=cmd_bc)
 
     p = sub.add_parser("match", help="maximum matching")
@@ -373,7 +371,6 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("graph", nargs="?", default=None)
         p.add_argument("--expr", help="file holding one k-expression")
         p.add_argument("--method", choices=("cw", "oracle"), default="cw")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.set_defaults(func=fn)
 
     p = sub.add_parser("gen", help="generate a family instance (edge list)")
@@ -385,6 +382,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("params", help="n, m, and the width parameters")
     common(p)
+    rows_format(p)
     p.set_defaults(func=cmd_params)
 
     p = sub.add_parser("decompose", help="decomposition trees as JSON")
@@ -402,7 +400,7 @@ def make_parser() -> argparse.ArgumentParser:
                    help="target size (0 draws sizes at random)")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--oracle-cap", type=int, default=DEFAULT_ORACLE_CAPS["hyp"])
+    oracle_cap(p)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("bench", help="scaling table for the split-tree DP")
@@ -421,7 +419,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GraphError, DisconnectedGraphError, OSError, ValueError) as exc:
+    except (GraphError, DisconnectedGraphError, OSError, ValueError,
+            RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

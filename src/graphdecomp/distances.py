@@ -64,16 +64,8 @@ UNREACHABLE = _Unreachable()
 Distance = int | _Unreachable
 
 
-def is_finite(d: Distance) -> bool:
-    return d is not UNREACHABLE
-
-
 def dist_str(d: Distance) -> str:
     return str(d)
-
-
-def parse_distance(text: str) -> Distance:
-    return UNREACHABLE if text.strip() == "inf" else int(text)
 
 
 @total_ordering
@@ -117,16 +109,6 @@ class Half:
         if self.twice % 2 == 0:
             return str(self.twice // 2)
         return f"{self.twice}/2"
-
-
-def half_max(values) -> Half:
-    best = None
-    for v in values:
-        if best is None or v.twice > best.twice:
-            best = v
-    if best is None:
-        return Half(0)
-    return best
 
 
 def parse_half(text: str) -> Half:

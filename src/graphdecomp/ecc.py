@@ -1,23 +1,26 @@
 """Eccentricities through split trees, modular quotients, and class dispatch.
 
-The split-tree algorithm runs two traversals.  Leafward, each component
-learns the eccentricity of every vertex in its subtree graph through
-weights e(marker) = subtree eccentricity - 1; rootward, the complementary
-values flow back down.  Complete components need only the top two weights,
-stars the top two leaf weights plus the center, prime components all-pairs
-BFS.  The modular variants solve only the quotient: inner graphs carry a
-universal marker vertex, so their diameter is at most two and a per-vertex
-universality test settles them.
+Over a split tree, eccentricities supply one rule to
+``SplitTreeIndex.reroot``.  The value behind a marker is the eccentricity
+of that marker in the graph on its side, less one; a real vertex carries
+0.  Slot t of a component sends out the maximum over the other slots s of
+dist(t, s) + value(s), less one, and a real vertex's eccentricity is that
+maximum itself.  Complete components need only the top two values, stars
+the top two leaf values plus the center, prime components one BFS per
+slot; each slot is a target once per call, so a prime component's
+distance table is built once.  The modular variants solve only the
+quotient: inner graphs carry a universal marker vertex, so their diameter
+is at most two and a per-vertex universality test settles them.
 """
 
 from __future__ import annotations
 
-from .classify import (DISC_COCYCLE, DISC_CYCLE, SMALL_PRIME, SPIKED_PK,
-                       SPIKED_PK_BAR, SPIKED_QK, SPIKED_QK_BAR, THICK_SPIDER,
-                       THIN_SPIDER, classify_prime_graph)
+from .classify import (DISC_COCYCLE, DISC_CYCLE, SPIKED_PK, SPIKED_PK_BAR,
+                       SPIKED_QK, SPIKED_QK_BAR, THICK_SPIDER, THIN_SPIDER,
+                       classify_prime_graph)
 from .distances import Distance
 from .graph import DisconnectedGraphError, Graph, bfs_distances
-from .modular import MDNode, PARALLEL, PRIME, SERIES
+from .modular import MDNode, PRIME, SERIES
 from .splitdec import COMPLETE, STAR, SplitTree, SplitTreeIndex
 
 
@@ -30,131 +33,35 @@ def eccentricities_split(g: Graph, st: SplitTree) -> list[Distance]:
     _require_connected(g)
     if g.n == 1:
         return [0]
-    idx = SplitTreeIndex(st)
     comps = st.components
 
-    # leafward: ecc within the subtree graph of each component
-    ecc_in: list[list[int]] = [[] for _ in comps]
-    dist_to_up: list[list[int] | None] = [None] * len(comps)
-    for c in reversed(idx.order):
+    def rule(c: int, vals: list[int], targets: list[int]) -> list[int]:
+        """max over s != t of dist(t, s) + vals[s], less one."""
         comp = comps[c]
-        size = len(comp.labels)
-        e = [0] * size
-        for _, child, loc in idx.children[c]:
-            e[loc] = ecc_in[child][idx.up_local[child]] - 1
-        ecc_in[c] = _component_ecc(idx, c, e, exclude=-1)
-        if idx.up_local[c] is not None:
-            dist_to_up[c] = _component_dist_from(idx, c, idx.up_local[c])
-
-    # rootward: eccentricity of the complement side per tree edge
-    ecc_out: list[int] = [0] * len(comps)
-    for c in idx.order:
-        comp = comps[c]
-        size = len(comp.labels)
-        if not idx.children[c]:
-            continue
-        e = [0] * size
-        for _, child, loc in idx.children[c]:
-            e[loc] = ecc_in[child][idx.up_local[child]] - 1
-        if idx.up_local[c] is not None:
-            e[idx.up_local[c]] = ecc_out[c] - 1
-        for _, child, loc in idx.children[c]:
-            own = e[loc]
-            e[loc] = None       # exclude the child's own slot
-            ecc_out[child] = _component_ecc_at(idx, c, e, loc)
-            e[loc] = own
-
-    out: list[Distance] = [0] * g.n
-    for c in idx.order:
-        comp = comps[c]
-        up = idx.up_local[c]
-        for li, lab in enumerate(comp.labels):
-            if lab < 0:
-                continue
-            val = ecc_in[c][li]
-            if up is not None:
-                val = max(val, dist_to_up[c][li] + ecc_out[c] - 1)
-            out[lab] = val
-    return out
-
-
-def _component_ecc(idx: SplitTreeIndex, c: int, e: list[int],
-                   exclude: int) -> list[int]:
-    """max over v of dist(u, v) + e(v) for every u in the component."""
-    comp = idx.st.components[c]
-    size = len(comp.labels)
-    if size == 1:
-        return [e[0]]
-    if comp.kind == COMPLETE:
-        x, y = _top2(range(size), e)
+        if comp.kind == COMPLETE:
+            x, y = _top2(range(len(vals)), vals)
+            return [vals[y] if t == x else vals[x] for t in targets]
+        if comp.kind == STAR:
+            r = comp.center
+            x, y = _top2((s for s in range(len(vals)) if s != r), vals)
+            at_r = vals[r]
+            return [vals[x] if t == r
+                    else max(at_r, 1 + vals[y if t == x else x])
+                    for t in targets]
         out = []
-        for u in range(size):
-            best = e[x] if u != x else (e[y] if y >= 0 else None)
-            val = e[u] if best is None else max(e[u], 1 + best)
-            out.append(val)
+        for t in targets:
+            dist = comp.distances_from(t)
+            out.append(max(dist[s] + vals[s]
+                           for s in range(len(vals)) if s != t) - 1)
         return out
-    if comp.kind == STAR:
-        r = comp.center
-        leaves = [v for v in range(size) if v != r]
-        x, y = _top2(leaves, e)
-        out = [0] * size
-        out[r] = max(e[r], 1 + e[x])
-        for u in leaves:
-            best_leaf = e[x] if u != x else (e[y] if y >= 0 else None)
-            val = max(e[u], 1 + e[r])
-            if best_leaf is not None:
-                val = max(val, 2 + best_leaf)
-            out[u] = val
-        return out
-    dists = idx.component_local_distances(c)
-    return [max(dists[u][v] + e[v] for v in range(size)) for u in range(size)]
 
-
-def _component_ecc_at(idx: SplitTreeIndex, c: int, e: list[int | None],
-                      target: int) -> int:
-    """max over v != target of dist(target, v) + e(v); e[target] is None."""
-    comp = idx.st.components[c]
-    size = len(comp.labels)
-    if comp.kind == COMPLETE:
-        return 1 + max(e[v] for v in range(size) if v != target)
-    if comp.kind == STAR:
-        r = comp.center
-        if target == r:
-            return 1 + max(e[v] for v in range(size) if v != r)
-        leaf_best = None
-        for v in range(size):
-            if v in (target, r):
-                continue
-            leaf_best = e[v] if leaf_best is None else max(leaf_best, e[v])
-        val = 1 + e[r]
-        if leaf_best is not None:
-            val = max(val, 2 + leaf_best)
-        return val
-    dists = idx.component_local_distances(c)
-    return max(dists[target][v] + e[v] for v in range(size) if v != target)
-
-
-def _component_dist_from(idx: SplitTreeIndex, c: int, src: int) -> list[int]:
-    comp = idx.st.components[c]
-    size = len(comp.labels)
-    if comp.kind == COMPLETE:
-        return [0 if v == src else 1 for v in range(size)]
-    if comp.kind == STAR:
-        r = comp.center
-        if src == r:
-            return [0 if v == r else 1 for v in range(size)]
-        return [0 if v == src else (1 if v == r else 2) for v in range(size)]
-    dist = [-1] * size
-    dist[src] = 0
-    from collections import deque
-    queue = deque([src])
-    while queue:
-        u = queue.popleft()
-        for w in idx.local_adj[c][u]:
-            if dist[w] == -1:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    return dist
+    _, _, arriving = SplitTreeIndex(st).reroot(0, rule)
+    out: list[Distance] = [0] * g.n
+    for c, comp in enumerate(comps):
+        reals = [li for li, lab in enumerate(comp.labels) if lab >= 0]
+        for li, val in zip(reals, rule(c, arriving(c), reals)):
+            out[comp.labels[li]] = val + 1
+    return out
 
 
 def _top2(indices, e) -> tuple[int, int]:

@@ -1,24 +1,24 @@
 """Four-point hyperbolicity via split decomposition and its kernelizations.
 
 The split scheme: the hyperbolicity of the whole graph is the maximum of
-every component's own value and, per tree edge, a gap term that depends
-only on whether each side's boundary is a clique and on the boundary
-sizes.  Clique-ness of a boundary is exactly simpliciality of the marker
-in its side graph, which two tree traversals propagate; boundary sizes
-travel the same way.
+every prime component's own value and, per tree edge, a gap term that
+depends only on whether each side's boundary is a clique and on the
+boundary sizes.  Both come from one rule given to
+``SplitTreeIndex.reroot``, over (boundary size, boundary is a clique)
+pairs.  A boundary is a clique exactly when its marker is simplicial in
+its side graph: the marker is simplicial in its own component and every
+neighbouring marker's boundary is a clique.  A boundary's size is the sum
+of its neighbours' sizes, where a real vertex counts one.
 """
 
 from __future__ import annotations
 
-from .classify import (DISC_COCYCLE, DISC_CYCLE, SPIKED_PK, SPIKED_PK_BAR,
-                       SPIKED_QK, SPIKED_QK_BAR, THICK_SPIDER, THIN_SPIDER,
-                       classify_prime_graph)
 from .distances import Half
-from .graph import DisconnectedGraphError, Graph, GraphError, bfs_distances, build_graph
+from .graph import DisconnectedGraphError, Graph
 from .modular import MDNode, NDPartition, PARALLEL, PRIME, SERIES, TRUE_TWINS
 from .oracles import oracle_hyperbolicity
 from .splitdec import (COMPLETE, PRIME as SPLIT_PRIME, STAR, SplitComponent,
-                       SplitTree, SplitTreeIndex)
+                       SplitTree, SplitTreeIndex, neighbor_sums)
 
 _BRUTE_CAP = 44
 
@@ -29,10 +29,6 @@ def _require_connected(g: Graph) -> None:
 
 
 # -- per-component suppliers -------------------------------------------------
-
-
-def _component_graph(comp: SplitComponent) -> Graph:
-    return comp.local_graph()
 
 
 def _delta_brute(g: Graph) -> Half:
@@ -155,59 +151,40 @@ def simplicial_vertices(g: Graph) -> set[int]:
 
 def hyperbolicity_over_tree(st: SplitTree,
                             delta_of=component_delta) -> Half:
-    """Max of component values and per-edge gap terms (two-pass DP)."""
-    if len(st.components) == 1:
-        comp = st.components[0]
-        if comp.kind in (COMPLETE, STAR):
-            return Half(0)
-        return delta_of(_component_graph(comp))
-    idx = SplitTreeIndex(st)
+    """Max of prime component values and per-edge gap terms."""
     comps = st.components
-
-    local_simpl: list[set[int]] = []
-    local_graphs: list[Graph] = []
+    if len(comps) == 1:
+        if comps[0].kind in (COMPLETE, STAR):
+            return Half(0)
+        return delta_of(comps[0].local_graph())
     best = Half(0)
-    for comp in comps:
-        cg = _component_graph(comp)
-        local_graphs.append(cg)
+    prime_simplicial: dict[int, set[int]] = {}
+    for c, comp in enumerate(comps):
+        if comp.kind == SPLIT_PRIME:
+            cg = comp.local_graph()
+            prime_simplicial[c] = simplicial_vertices(cg)
+            d = delta_of(cg)
+            if best < d:
+                best = d
+
+    def rule(c: int, vals: list[tuple[int, bool]],
+             targets: list[int]) -> list[tuple[int, bool]]:
+        """(boundary size, boundary is a clique) behind each target."""
+        comp = comps[c]
+        sizes = neighbor_sums(comp, [size for size, _ in vals], targets)
+        open_nbrs = neighbor_sums(comp, [not clique for _, clique in vals],
+                                  targets)
         if comp.kind == COMPLETE:
-            local_simpl.append(set(range(len(comp.labels))))
-            continue
-        if comp.kind == STAR:
-            simp = {v for v in range(len(comp.labels)) if v != comp.center}
-            if len(comp.labels) == 2:
-                simp = {0, 1}
-            elif len(comp.labels) - 1 == 1:
-                simp.add(comp.center)
-            local_simpl.append(simp)
-            continue
-        local_simpl.append(simplicial_vertices(cg))
-        d = delta_of(cg)
-        if best < d:
-            best = d
+            simplicial = [True] * len(targets)
+        elif comp.kind == STAR:
+            simplicial = [t != comp.center for t in targets]
+        else:
+            simplicial = [t in prime_simplicial[c] for t in targets]
+        return [(size, simp and not bad)
+                for size, bad, simp in zip(sizes, open_nbrs, simplicial)]
 
-    # sizes of the real boundary behind each marker, both directions
-    size_down = [0] * len(st.tree_edges)
-    simp_down = [False] * len(st.tree_edges)
-    for c in reversed(idx.order):
-        e = idx.parent_edge[c]
-        if e is None:
-            continue
-        up = idx.up_local[c]
-        size_down[e] = _expanded_size(idx, c, up, size_down, None)
-        simp_down[e] = _expanded_simplicial(idx, c, up, local_simpl,
-                                            simp_down, None)
-    size_up = [0] * len(st.tree_edges)
-    simp_up = [False] * len(st.tree_edges)
-    for c in idx.order:
-        for e, child, loc in idx.children[c]:
-            size_up[e] = _expanded_size(idx, c, loc, size_down, (e, size_up))
-            simp_up[e] = _expanded_simplicial(idx, c, loc, local_simpl,
-                                              simp_down, (e, simp_up))
-
-    for e in range(len(st.tree_edges)):
-        c_clique, d_clique = simp_down[e], simp_up[e]
-        c_size, d_size = size_down[e], size_up[e]
+    down, up, _ = SplitTreeIndex(st).reroot((1, True), rule)
+    for (c_size, c_clique), (d_size, d_clique) in zip(down, up):
         if not c_clique and not d_clique:
             gap = Half(2)
         elif min(c_size, d_size) >= 2 and (c_clique != d_clique):
@@ -217,42 +194,6 @@ def hyperbolicity_over_tree(st: SplitTree,
         if best < gap:
             best = gap
     return best
-
-
-def _expanded_size(idx: SplitTreeIndex, c: int, marker_loc: int,
-                   size_down, up_entry) -> int:
-    comp = idx.st.components[c]
-    child_slot = {loc: e for e, _, loc in idx.children[c]}
-    total = 0
-    for v in idx.local_adj[c][marker_loc]:
-        lab = comp.labels[v]
-        if lab >= 0:
-            total += 1
-        elif v == idx.up_local[c]:
-            e, table = up_entry
-            total += table[idx.parent_edge[c]]
-        else:
-            total += size_down[child_slot[v]]
-    return total
-
-
-def _expanded_simplicial(idx: SplitTreeIndex, c: int, marker_loc: int,
-                         local_simpl, simp_down, up_entry) -> bool:
-    if marker_loc not in local_simpl[c]:
-        return False
-    comp = idx.st.components[c]
-    child_slot = {loc: e for e, _, loc in idx.children[c]}
-    for v in idx.local_adj[c][marker_loc]:
-        lab = comp.labels[v]
-        if lab >= 0:
-            continue
-        if v == idx.up_local[c]:
-            e, table = up_entry
-            if not table[idx.parent_edge[c]]:
-                return False
-        elif not simp_down[child_slot[v]]:
-            return False
-    return True
 
 
 def hyperbolicity_split(g: Graph, st: SplitTree) -> Half:
@@ -325,7 +266,6 @@ def hyperbolicity_mw_gate(g: Graph, md: MDNode) -> tuple[bool, Half | None]:
     """Decide delta > 1 from the quotient alone; report the value if so."""
     _require_connected(g)
     if md.is_leaf() or md.kind == SERIES:
-        quotient = build_graph(len(md.children) if md.children else 1, [])
         return False, None
     quotient = md.quotient
     dq = component_delta(quotient)

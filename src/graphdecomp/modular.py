@@ -219,14 +219,6 @@ def is_module(g: Graph, vertices) -> bool:
     return True
 
 
-def strong_module_partition(g: Graph) -> list[tuple[int, ...]]:
-    """Children of the decomposition root, as vertex tuples."""
-    root = modular_decomposition(g)
-    if root.kind == LEAF:
-        return [root.vertices]
-    return [c.vertices for c in root.children]
-
-
 def quotient_graph(g: Graph, modules: list[tuple[int, ...]]) -> Graph:
     reps = [mod[0] for mod in modules]
     masks = g.masks()

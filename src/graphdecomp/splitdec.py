@@ -65,6 +65,19 @@ class SplitComponent:
     def index_of(self, label: int) -> int:
         return self.labels.index(label)
 
+    def distances_from(self, source: int) -> list[int]:
+        """Hop distances from one slot inside the component (BFS)."""
+        dist = [-1] * len(self.labels)
+        dist[source] = 0
+        queue = deque([source])
+        while queue:
+            u = queue.popleft()
+            for w in self.adj[u]:
+                if dist[w] == -1:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        return dist
+
 
 @dataclass
 class SplitTree:
@@ -72,16 +85,6 @@ class SplitTree:
     components: list[SplitComponent]
     # one entry per marker pair: (comp_a, local_a, comp_b, local_b)
     tree_edges: list[tuple[int, int, int, int]] = field(default_factory=list)
-
-    def component_graph_neighbors(self, c: int) -> list[tuple[int, int, int]]:
-        """(edge_id, other_comp, local marker index in c) for each tree edge at c."""
-        out = []
-        for e, (ca, la, cb, lb) in enumerate(self.tree_edges):
-            if ca == c:
-                out.append((e, cb, la))
-            elif cb == c:
-                out.append((e, ca, lb))
-        return out
 
     def prime_orders(self) -> list[int]:
         return [len(c.labels) for c in self.components if c.kind == PRIME]
@@ -172,21 +175,18 @@ def split_width(st: SplitTree) -> int:
 
 
 class SplitTreeIndex:
-    """Rooted view of a split tree: orders, marker slots, local adjacency.
+    """Rooted view of a split tree and its two-pass rerooting traversal.
 
-    Supports the two-pass (leafward then rootward) dynamic programs of the
-    distance algorithms.  Requires the component tree to be connected.
+    Requires the component tree to be connected.
     """
 
     def __init__(self, st: SplitTree, root: int = 0):
         self.st = st
-        self.root = root
         ncomp = len(st.components)
-        nbrs: list[list[tuple[int, int, int]]] = [[] for _ in range(ncomp)]
-        for e, (ca, la, cb, lb) in enumerate(st.tree_edges):
-            nbrs[ca].append((e, cb, la))
-            nbrs[cb].append((e, ca, lb))
-        self.parent: list[int | None] = [None] * ncomp
+        nbrs: list[list[tuple[int, int]]] = [[] for _ in range(ncomp)]
+        for e, (ca, _, cb, _) in enumerate(st.tree_edges):
+            nbrs[ca].append((e, cb))
+            nbrs[cb].append((e, ca))
         self.parent_edge: list[int | None] = [None] * ncomp
         self.up_local: list[int | None] = [None] * ncomp
         self.children: list[list[tuple[int, int, int]]] = [[] for _ in range(ncomp)]
@@ -198,11 +198,10 @@ class SplitTreeIndex:
         while stack:
             c = stack.pop()
             self.order.append(c)
-            for e, other, loc in nbrs[c]:
+            for e, other in nbrs[c]:
                 if seen[other]:
                     continue
                 seen[other] = True
-                self.parent[other] = c
                 self.parent_edge[other] = e
                 ca, la, cb, lb = st.tree_edges[e]
                 self.up_local[other] = la if cb == c else lb
@@ -210,26 +209,69 @@ class SplitTreeIndex:
                 stack.append(other)
         if not all(seen):
             raise GraphError("split tree is a forest; root one tree at a time")
-        self.local_adj: list[list[list[int]]] = [
-            [sorted(a) for a in comp.adj] for comp in st.components]
 
-    def component_local_distances(self, c: int) -> list[list[int]]:
-        """All-pairs hop distances inside one component (BFS per vertex)."""
-        adj = self.local_adj[c]
-        size = len(adj)
-        out = []
-        for s in range(size):
-            dist = [-1] * size
-            dist[s] = 0
-            queue = deque([s])
-            while queue:
-                u = queue.popleft()
-                for w in adj[u]:
-                    if dist[w] == -1:
-                        dist[w] = dist[u] + 1
-                        queue.append(w)
-            out.append(dist)
-        return out
+    def reroot(self, real, rule):
+        """Send one value across every tree edge in each direction.
+
+        Every slot of a component carries a value: ``real`` for a slot
+        holding a real vertex, and for a marker slot the value sent to the
+        component across that marker's tree edge.  ``rule(c, vals,
+        targets)`` gets the values at the slots of component c and returns,
+        for each slot t in targets, the value c sends out through t.  It
+        must not read ``vals[t]``: in the first pass the slot towards the
+        root still holds ``real``.
+
+        The first pass visits children before parents and fills
+        ``down[e]``, the value the child side of tree edge e sends to the
+        parent side; the second pass fills ``up[e]``, sent the other way.
+        Returns ``(down, up, arriving)``, where ``arriving(c)`` lists the
+        final values at the slots of c.  Called on the real slots of c
+        with ``arriving(c)``, the rule gives the per-vertex readout.
+        """
+        comps = self.st.components
+        parent_edge, up_local, children = (self.parent_edge, self.up_local,
+                                           self.children)
+        down = [real] * len(self.st.tree_edges)
+        up = [real] * len(self.st.tree_edges)
+
+        def arriving(c: int) -> list:
+            vals = [real] * len(comps[c].labels)
+            for e, _, loc in children[c]:
+                vals[loc] = down[e]
+            e = parent_edge[c]
+            if e is not None:
+                vals[up_local[c]] = up[e]
+            return vals
+
+        for c in reversed(self.order):
+            e = parent_edge[c]
+            if e is not None:
+                down[e] = rule(c, arriving(c), [up_local[c]])[0]
+        for c in self.order:
+            kids = children[c]
+            if kids:
+                outs = rule(c, arriving(c), [loc for _, _, loc in kids])
+                for (e, _, _), val in zip(kids, outs):
+                    up[e] = val
+        return down, up, arriving
+
+
+def neighbor_sums(comp: SplitComponent, vals: list, targets: list[int]) -> list:
+    """For each target slot t, the sum of vals over the neighbours of t.
+
+    Degenerate components answer every target from one total.  Zero values
+    are skipped, so slots that carry 0 cost no arithmetic.
+    """
+    if comp.kind == PRIME:
+        adj = comp.adj
+        return [sum(vals[s] for s in adj[t] if vals[s]) for t in targets]
+    total = sum(v for v in vals if v)
+    if comp.kind == STAR:
+        r = comp.center
+        at_r = vals[r]
+        leaves = total - at_r if at_r else total
+        return [leaves if t == r else at_r for t in targets]
+    return [total - vals[t] if vals[t] else total for t in targets]
 
 
 # -------------------------------------------------------------------------

@@ -144,3 +144,30 @@ def test_bench_stdout_is_structural():
     assert lines[0] == "n,m,components,ecc_checksum"
     assert len(lines) == 3
     assert "ecc-dp" in out.stderr
+
+
+def test_recursion_depth_maps_to_error_line(tmp_path):
+    # threshold graph: odd v joined to every earlier vertex; its modular
+    # tree is about n deep
+    n = 3000
+    f = tmp_path / "threshold.el"
+    with open(f, "w") as out:
+        out.write(f"{n} {sum(v for v in range(1, n, 2))}\n")
+        for v in range(1, n, 2):
+            out.write("".join(f"{u} {v}\n" for u in range(v)))
+    out = run_cli(["match", "--method", "modular", str(f)])
+    assert out.returncode == 1
+    assert out.stderr.startswith("error:")
+    assert "Traceback" not in out.stderr
+
+
+def test_flags_only_where_read(spider_file):
+    for args in (["diameter", "--format", "json"],
+                 ["girth", "--method", "oracle", "--format", "json"],
+                 ["match", "--oracle-cap", "10"],
+                 ["ecc", "--oracle-cap", "10"]):
+        out = run_cli([*args, spider_file])
+        assert out.returncode == 2, args
+    out = run_cli(["hyp", "--method", "oracle", "--oracle-cap", "10",
+                   spider_file])
+    assert out.returncode == 1 and "cap" in out.stderr

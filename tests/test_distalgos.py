@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -15,6 +16,8 @@ from graphdecomp import (DisconnectedGraphError, FamilySpec, build_graph,
                          random_instance, split_decomposition, split_width,
                          substitute)
 from graphdecomp.distances import Half
+from graphdecomp.splitdec import (COMPLETE, STAR, SplitComponent, SplitTree,
+                                  marker_label)
 
 from conftest import complete, connected_er, cycle, path, star
 
@@ -197,3 +200,106 @@ def test_split_and_modular_agree_everywhere(rng):
         want = oracle_eccentricities(g)
         assert eccentricities_split(g, st) == want
         assert eccentricities_modular(g, modular_decomposition(g)) == want
+
+
+# -- hand-built split trees --------------------------------------------------
+
+
+class TreeBuilder:
+    """Star and complete components linked by marker pairs; every slot
+    left unlinked becomes a real vertex."""
+
+    def __init__(self):
+        self.comps, self.edges = [], []
+
+    def add(self, kind, size, parent=None, up=None):
+        """New component; slot ``up`` links to slot ``parent[1]`` of
+        component ``parent[0]``.  A star's center is slot 0."""
+        if kind == COMPLETE:
+            pairs = combinations(range(size), 2)
+        else:
+            pairs = ((0, b) for b in range(1, size))
+        adj = [set() for _ in range(size)]
+        for a, b in pairs:
+            adj[a].add(b)
+            adj[b].add(a)
+        ci = len(self.comps)
+        self.comps.append(SplitComponent(
+            labels=[None] * size, adj=adj, kind=kind,
+            center=0 if kind == STAR else -1))
+        if parent is not None:
+            eid = len(self.edges)
+            pc, ps = parent
+            self.comps[ci].labels[up] = marker_label(eid, 0)
+            self.comps[pc].labels[ps] = marker_label(eid, 1)
+            self.edges.append((ci, up, pc, ps))
+        return ci
+
+    def tree(self):
+        n = 0
+        for comp in self.comps:
+            for i, lab in enumerate(comp.labels):
+                if lab is None:
+                    comp.labels[i] = n
+                    n += 1
+        st = SplitTree(n=n, components=self.comps, tree_edges=self.edges)
+        st.validate()
+        return st
+
+
+def caterpillar_split_tree(rng, length):
+    """A path of star and complete components of 3 to 5 slots; a star's
+    path markers sit at its center or at its leaves."""
+    b = TreeBuilder()
+    parent, parent_kind = None, None
+    for _ in range(length):
+        kind = STAR if parent_kind == COMPLETE else rng.choice((COMPLETE, STAR))
+        size = rng.randint(3, 5)
+        up, down = rng.sample(range(size), 2)
+        ci = b.add(kind, size, parent, up)
+        parent, parent_kind = (ci, down), kind
+    return b.tree()
+
+
+def wide_split_tree(rng, markers):
+    """A complete component and a star each carrying ``markers`` child
+    markers, besides the edge between them; a few children have a child
+    of their own, so the deepest slot is unique."""
+    b = TreeBuilder()
+    clique = b.add(COMPLETE, markers + 2)
+    star = b.add(STAR, markers + 2, (clique, 0), 1)
+    for hub, slots in ((clique, range(1, markers + 1)),
+                       (star, range(2, markers + 2))):
+        for slot in slots:
+            kind = STAR if hub == clique else rng.choice((COMPLETE, STAR))
+            child = b.add(kind, 3, (hub, slot), rng.randrange(3))
+            if rng.random() < 0.15:
+                b.add(STAR, 3, (child, b.comps[child].labels.index(None)),
+                      rng.randrange(3))
+    return b.tree()
+
+
+def _check_split_tree(st, hyp_cap=40):
+    g = st.recompose()
+    assert g.is_connected()
+    assert eccentricities_split(g, st) == oracle_eccentricities(g)
+    assert betweenness_split(g, st) == oracle_betweenness(g)
+    if g.n <= hyp_cap:
+        assert hyperbolicity_split(g, st) == oracle_hyperbolicity(g, cap=hyp_cap)
+    return g
+
+
+def test_caterpillar_split_trees(rng):
+    for length in (2, 3, 8, 12, 14):
+        for _ in range(4):
+            _check_split_tree(caterpillar_split_tree(rng, length))
+    g = _check_split_tree(caterpillar_split_tree(rng, 60))
+    assert max(oracle_eccentricities(g)) >= 20
+
+
+def test_wide_degenerate_components(rng):
+    # the complete and the star answer every child marker from one
+    # aggregate that leaves out the marker's own slot
+    st = wide_split_tree(rng, 30)
+    g = _check_split_tree(st, hyp_cap=st.n)
+    assert g.n >= 120
