@@ -9,18 +9,35 @@ pairs.  A boundary is a clique exactly when its marker is simplicial in
 its side graph: the marker is simplicial in its own component and every
 neighbouring marker's boundary is a clique.  A boundary's size is the sum
 of its neighbours' sizes, where a real vertex counts one.
+
+A prime component's own value comes from ``four_point_delta``, the
+pruned scan of Cohen, Coudert and Lancin (*On computing the Gromov
+hyperbolicity*, ACM JEA 2015).  It sorts the vertex pairs by distance,
+largest first, and compares each pair only with the pairs before it, so
+every quadruple is met in its largest-sum pairing.  If that pairing is
+{u, v}, {x, y} with d(u, v) >= d(x, y), the other two sums add up to at
+least 2 d(u, v), so the larger of them is at least d(u, v) and the
+quadruple's doubled value is at most d(x, y), the distance of the later
+pair.  The scan therefore stops at the first pair whose distance is at
+most ``best``, the doubled value found so far: no quadruple left can beat
+it.  ``oracle_hyperbolicity`` stays the independent reference that the
+tests compare against.
 """
 
 from __future__ import annotations
 
 from .distances import Half
-from .graph import DisconnectedGraphError, Graph
+from .graph import DisconnectedGraphError, Graph, bfs_distances
 from .modular import MDNode, NDPartition, PARALLEL, PRIME, SERIES, TRUE_TWINS
-from .oracles import oracle_hyperbolicity
 from .splitdec import (COMPLETE, PRIME as SPLIT_PRIME, STAR, SplitComponent,
                        SplitTree, SplitTreeIndex, neighbor_sums)
 
 _BRUTE_CAP = 44
+
+#: Pairs per row tile and per column tile of ``four_point_delta``: each
+#: temporary holds at most 2**14 entries, whatever the component's size.
+_ROW_TILE = 16
+_COL_TILE = 1 << 10
 
 
 def _require_connected(g: Graph) -> None:
@@ -31,8 +48,37 @@ def _require_connected(g: Graph) -> None:
 # -- per-component suppliers -------------------------------------------------
 
 
-def _delta_brute(g: Graph) -> Half:
-    return oracle_hyperbolicity(g, cap=max(g.n, 1))
+def four_point_delta(g: Graph) -> Half:
+    """Exact four-point hyperbolicity by the pruned pair scan."""
+    import numpy as np
+
+    _require_connected(g)
+    n = g.n
+    if n < 4:
+        return Half(0)
+    # a sum of two distances stays below 2n, within int16 for n < 2**14
+    dtype = np.int16 if n < 1 << 14 else np.int32
+    dist = np.array([bfs_distances(g, v) for v in range(n)], dtype=dtype)
+    us, vs = np.triu_indices(n, 1)
+    d = dist[us, vs]
+    order = np.argsort(d, kind="stable")[::-1]
+    us, vs, d = us[order], vs[order], d[order]
+    best = 0
+    for lo in range(0, len(d), _ROW_TILE):
+        if d[lo] <= best:
+            break
+        hi = min(lo + _ROW_TILE, len(d))
+        du, dv = dist[us[lo:hi]], dist[vs[lo:hi]]
+        d_rows = d[lo:hi, None]
+        # columns run to the end of the row tile: a pair met against itself
+        # scores 0, and against a later pair of its tile it scores what
+        # that pair's own row scores, so neither can overstate best
+        for clo in range(0, hi, _COL_TILE):
+            chi = min(clo + _COL_TILE, hi)
+            xs, ys = us[clo:chi], vs[clo:chi]
+            other = np.maximum(du[:, xs] + dv[:, ys], du[:, ys] + dv[:, xs])
+            best = max(best, int((d_rows + d[clo:chi] - other).max()))
+    return Half(best)
 
 
 def _is_block_graph(g: Graph) -> bool:
@@ -124,12 +170,12 @@ def _diameter_at_most_2(g: Graph) -> bool:
 def component_delta(g: Graph) -> Half:
     """Hyperbolicity of one split component, sized for quotient graphs."""
     if g.n <= _BRUTE_CAP:
-        return _delta_brute(g)
+        return four_point_delta(g)
     if _is_block_graph(g):
         return Half(0)
     if _diameter_at_most_2(g):
         return Half(2) if _has_induced_c4(g) else Half(1)
-    return _delta_brute(g)
+    return four_point_delta(g)
 
 
 def simplicial_vertices(g: Graph) -> set[int]:
@@ -200,7 +246,7 @@ def hyperbolicity_split(g: Graph, st: SplitTree) -> Half:
     _require_connected(g)
     if g.n < 4:
         return Half(0)
-    return hyperbolicity_over_tree(st, delta_of=_delta_brute)
+    return hyperbolicity_over_tree(st, delta_of=four_point_delta)
 
 
 # -- kernelizations ----------------------------------------------------------
@@ -259,7 +305,7 @@ def hyperbolicity_nd(g: Graph, ndp: NDPartition) -> Half:
     if g.n < 4:
         return Half(0)
     st = split_tree_from_nd(g, ndp)
-    return hyperbolicity_over_tree(st, delta_of=_delta_brute)
+    return hyperbolicity_over_tree(st, delta_of=four_point_delta)
 
 
 def hyperbolicity_mw_gate(g: Graph, md: MDNode) -> tuple[bool, Half | None]:

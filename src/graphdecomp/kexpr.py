@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass
 
 from .distances import UNREACHABLE, Distance
-from .graph import Graph, GraphError, build_graph
+from .graph import Graph, build_graph
 
 
 class KExprError(ValueError):

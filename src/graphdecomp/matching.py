@@ -15,12 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .blossom import Matching, augment, find_augmenting_path, maximum_matching
-from .classify import (DISC_COCYCLE, DISC_CYCLE, SMALL_PRIME, SPIKED_PK,
-                       SPIKED_PK_BAR, SPIKED_QK, SPIKED_QK_BAR, THICK_SPIDER,
-                       THIN_SPIDER, classify_prime_graph)
+from .blossom import Matching, find_augmenting_path, maximum_matching
+from .classify import (DISC_COCYCLE, DISC_CYCLE, SPIKED_PK, SPIKED_PK_BAR,
+                       SPIKED_QK, SPIKED_QK_BAR, THICK_SPIDER, THIN_SPIDER,
+                       classify_prime_graph)
 from .graph import Graph, GraphError, build_graph
-from .modular import LEAF, MDNode, PARALLEL, PRIME, SERIES, modular_decomposition
+from .modular import LEAF, MDNode, PARALLEL, SERIES, modular_decomposition
 
 
 class StructuralError(GraphError):
@@ -428,6 +428,15 @@ def _roles_to_modules(node: MDNode, witness_roles: dict[str, int]):
             for name, q in witness_roles.items()}
 
 
+def _fat_roles(witness: dict, qk: bool) -> set[str]:
+    """Roles at which a spiked p-chain procedure takes a nontrivial module."""
+    k = witness["k"]
+    if qk:
+        return {"v1", f"v{k}"} | {n for n in witness["roles"]
+                                  if n.startswith("z")}
+    return {"v1", f"v{k}", "x", "y"}
+
+
 def _assert_trivial(mods: dict[str, list[int]], allowed: set[str]) -> None:
     for name, mod in mods.items():
         if len(mod) > 1 and name not in allowed:
@@ -457,7 +466,7 @@ def _match_pk(g: Graph, node: MDNode, witness: dict, mate: list) -> None:
     roles = witness["roles"]
     k = witness["k"]
     mods = _roles_to_modules(node, roles)
-    _assert_trivial(mods, {"v1", f"v{k}", "x", "y"})
+    _assert_trivial(mods, _fat_roles(witness, qk=False))
     alive = set(v for mod in mods.values() for v in mod)
 
     lo, hi = 1, k
@@ -521,7 +530,7 @@ def _match_pk_bar(g: Graph, node: MDNode, witness: dict, mate: list) -> None:
     roles = witness["roles"]
     k = witness["k"]
     mods = _roles_to_modules(node, roles)
-    _assert_trivial(mods, {"v1", f"v{k}", "x", "y"})
+    _assert_trivial(mods, _fat_roles(witness, qk=False))
 
     def pv(i: int) -> int:
         return mods[f"v{i}"][0]
@@ -551,8 +560,7 @@ def _match_qk(g: Graph, node: MDNode, witness: dict, mate: list,
     roles = witness["roles"]
     k = witness["k"]
     mods = _roles_to_modules(node, roles)
-    allowed = {"v1", f"v{k}"} | {n for n in mods if n.startswith("z")}
-    _assert_trivial(mods, allowed)
+    _assert_trivial(mods, _fat_roles(witness, qk=True))
 
     def mod_of(name: str) -> list[int]:
         return mods.get(name, [])
@@ -684,18 +692,16 @@ def _solve_qq3_node(g: Graph, node: MDNode, mate: list, audit: bool) -> None:
 
     quotient = node.quotient
     cls = classify_prime_graph(quotient, check_prime=False)
-    if cls.tag in (DISC_CYCLE, DISC_COCYCLE):
-        if any(len(c.vertices) > 1 for c in node.children):
-            raise StructuralError("disc quotient with a nontrivial module")
-        order = [node.children[q].vertices[0]
-                 for q in cls.witness["cycle_order"]]
+    wit = cls.witness
+    # a class procedure runs only where it allows every nontrivial module;
+    # elsewhere the node falls through to the generic witness loop
+    fat = {q for q, c in enumerate(node.children) if len(c.vertices) > 1}
+    if cls.tag in (DISC_CYCLE, DISC_COCYCLE) and not fat:
+        order = [node.children[q].vertices[0] for q in wit["cycle_order"]]
         match_disc(g, order, cls.tag == DISC_COCYCLE, mate)
         return
-    if cls.tag in (THIN_SPIDER, THICK_SPIDER):
-        wit = cls.witness
-        for q in wit["S"] + wit["K"]:
-            if len(node.children[q].vertices) > 1:
-                raise StructuralError("spider body with a nontrivial module")
+    if (cls.tag in (THIN_SPIDER, THICK_SPIDER)
+            and fat.isdisjoint(wit["S"] + wit["K"])):
         s_list = [node.children[q].vertices[0] for q in wit["S"]]
         k_map = {q: node.children[q].vertices[0] for q in wit["K"]}
         matching = {node.children[s].vertices[0]: k_map[wit["matching"][s]]
@@ -704,8 +710,10 @@ def _solve_qq3_node(g: Graph, node: MDNode, mate: list, audit: bool) -> None:
                      wit["thick"], mate)
         return
     if cls.tag in (SPIKED_PK, SPIKED_PK_BAR, SPIKED_QK, SPIKED_QK_BAR):
-        max_matching_prime_ptree(g, node, cls, mate, audit)
-        return
+        allowed = _fat_roles(wit, qk=cls.tag in (SPIKED_QK, SPIKED_QK_BAR))
+        if fat <= {q for name, q in wit["roles"].items() if name in allowed}:
+            max_matching_prime_ptree(g, node, cls, mate, audit)
+            return
     modules = [list(c.vertices) for c in node.children]
     quotient_adj = [set(quotient.adj[i]) for i in range(quotient.n)]
     _witness_loop(modules, quotient_adj, mate, audit)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graph import DisconnectedGraphError, Graph, GraphError, build_graph
+from .graph import Graph, GraphError, build_graph
 
 LEAF = "leaf"
 PARALLEL = "parallel"

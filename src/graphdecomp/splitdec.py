@@ -62,9 +62,6 @@ class SplitComponent:
         m = sum(len(r) for r in rows) // 2
         return Graph(len(self.labels), rows, m)
 
-    def index_of(self, label: int) -> int:
-        return self.labels.index(label)
-
     def distances_from(self, source: int) -> list[int]:
         """Hop distances from one slot inside the component (BFS)."""
         dist = [-1] * len(self.labels)

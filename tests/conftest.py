@@ -4,6 +4,10 @@ import pytest
 
 from graphdecomp import build_graph
 
+ALL_FAMILIES = ("cograph", "thin-spider", "thick-spider", "cycle",
+                "co-cycle", "spiked-pk", "spiked-pk-bar", "spiked-qk",
+                "spiked-qk-bar", "er", "substitution", "distance-hereditary")
+
 
 def er_graph(rng, n, p):
     return build_graph(n, [(u, v) for u in range(n)

@@ -28,9 +28,7 @@ from graphdecomp import (FamilySpec, build_graph, betweenness_nd,
                          split_width)
 from graphdecomp.distances import Half
 
-ALL_FAMILIES = ("cograph", "thin-spider", "thick-spider", "cycle",
-                "co-cycle", "spiked-pk", "spiked-pk-bar", "spiked-qk",
-                "spiked-qk-bar", "er", "substitution", "distance-hereditary")
+from conftest import ALL_FAMILIES
 
 
 def _stream(rng, count, max_n, families, er_cap=40):

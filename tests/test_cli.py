@@ -101,6 +101,16 @@ def test_check_pass_and_exit_codes():
     assert "summary trials 4 mismatches 0" in out.stdout
 
 
+def test_check_qq3_matching_on_substitutions():
+    # disc and spider quotients with nontrivial modules reach the
+    # generic witness loop instead of raising
+    out = run_cli(["check", "match", "--method", "qq3", "--family",
+                   "substitution", "--n", "40", "--trials", "30",
+                   "--seed", "1"])
+    assert out.returncode == 0, out.stderr
+    assert "summary trials 30 mismatches 0" in out.stdout
+
+
 def test_check_detects_mismatch(tmp_path, monkeypatch):
     # a broken method must exit 3; simulate by comparing girth of a
     # non-cw-representable... instead: run the real check and tamper via env

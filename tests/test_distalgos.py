@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -16,10 +17,11 @@ from graphdecomp import (DisconnectedGraphError, FamilySpec, build_graph,
                          random_instance, split_decomposition, split_width,
                          substitute)
 from graphdecomp.distances import Half
+from graphdecomp.hyp import four_point_delta
 from graphdecomp.splitdec import (COMPLETE, STAR, SplitComponent, SplitTree,
                                   marker_label)
 
-from conftest import complete, connected_er, cycle, path, star
+from conftest import ALL_FAMILIES, complete, connected_er, cycle, path, star
 
 
 def mixed_connected_instances(rng, count, max_n, families=None):
@@ -146,6 +148,46 @@ def test_hyp_all_methods_equal_oracle(rng):
         assert want <= max(Half(2), Half.of_int((sw - 1) // 2))
         diam = max(oracle_eccentricities(g))
         assert want <= Half.of_int(diam // 2)
+
+
+def test_four_point_delta_equals_oracle_on_families(rng):
+    for fam in ALL_FAMILIES:
+        for n in range(4, 41):
+            g = random_instance(fam, n, rng).graph
+            assert four_point_delta(g) == oracle_hyperbolicity(g, cap=g.n), \
+                (fam, n)
+
+
+def test_four_point_delta_equals_oracle_on_cycles():
+    for n in range(4, 49):
+        g = cycle(n)
+        assert four_point_delta(g) == oracle_hyperbolicity(g, cap=n), n
+
+
+def test_four_point_delta_small_and_boundary_cases():
+    for g in (build_graph(1, []), path(2), path(3), complete(3)):
+        assert four_point_delta(g) == oracle_hyperbolicity(g) == Half(0)
+    with pytest.raises(DisconnectedGraphError):
+        four_point_delta(build_graph(4, [(0, 1), (2, 3)]))
+    # the maximum sits at the smallest pair distance the scan may not skip:
+    # C4, and C4 under a universal vertex (diameter 2)
+    wheel = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 0)]
+                        + [(4, v) for v in range(4)])
+    for g in (cycle(4), wheel):
+        assert four_point_delta(g) == oracle_hyperbolicity(g) == Half(2)
+
+
+def test_four_point_delta_memory_is_bounded():
+    import numpy  # noqa: F401  (imported first: the peak is the kernel's own)
+    for g in (random_instance("er", 150, random.Random(3)).graph, cycle(200)):
+        tracemalloc.start()
+        try:
+            value = four_point_delta(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20, (g.n, peak)
+    assert value == Half.of_int(50)     # delta(C200) = 200 / 4
 
 
 # -- betweenness -------------------------------------------------------------

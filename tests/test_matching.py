@@ -4,8 +4,9 @@ import pytest
 
 import graphdecomp.matching as matching_mod
 from graphdecomp import (FamilySpec, Matching, StructuralError, build_graph,
-                         build_witness, gen_family, match_disc, match_spider,
-                         max_matching_modular, max_matching_qq3,
+                         build_witness, classify_prime_graph, gen_family,
+                         match_disc, match_spider, max_matching_modular,
+                         max_matching_prime_ptree, max_matching_qq3,
                          modular_decomposition, oracle_maximum_matching,
                          pending_module_rule, random_instance,
                          reduce_module_edges, split_and_match, substitute)
@@ -258,15 +259,30 @@ def test_max_matching_qq3_families(rng):
 
 
 def test_qq3_structural_assert_fires():
-    # plant a fat module at a forbidden chain position
+    # plant a fat module at a forbidden chain position: the p-chain
+    # procedure refuses it, and qq3 hands the node to the witness loop
     gg = gen_family(FamilySpec(kind="SpikedPk", k=8), 0)
     roles = gg.annotations["chain"]["roles"]
     parts = [build_graph(1, [])] * gg.graph.n
     parts = list(parts)
     parts[roles["v4"]] = complete(2)     # v4 must stay trivial
     g = substitute(gg.graph, parts)
+    md = modular_decomposition(g)
+    cls = classify_prime_graph(md.quotient, check_prime=False)
     with pytest.raises(StructuralError):
-        max_matching_qq3(g)
+        max_matching_prime_ptree(g, md, cls, [None] * g.n)
+    got = max_matching_qq3(g, audit=True)
+    assert got.cardinality() == oracle_maximum_matching(g).cardinality()
+
+
+def test_qq3_falls_back_on_nontrivial_class_modules():
+    # C5 with one vertex blown up into a 2-vertex stable set: a disc
+    # quotient whose procedure takes trivial modules only
+    parts = [build_graph(2, [])] + [build_graph(1, [])] * 4
+    g = substitute(cycle(5), parts)
+    got = max_matching_qq3(g, audit=True)
+    got.validate(g)
+    assert got.cardinality() == max_matching_modular(g).cardinality() == 3
 
 
 def test_prime_ptree_small_cases(rng):
