@@ -5,16 +5,18 @@ size of the boundary a marker stands for) and an endpoint mass beta (how
 many real vertices it stands for).  Both come from one rule given to
 ``SplitTreeIndex.reroot``: alpha sums over a slot's neighbours, beta over
 all other slots.  Each component is then solved locally under those
-weights, and a second rule sends the corrective terms: a slot passes on
-its local value plus the terms arriving at its neighbours.  A real
-vertex's betweenness is that same sum, the plain Brandes value on the
-original graph.
+weights: complete and star components in closed form, prime components
+by one Brandes pass per source, summed in integers over a per-source
+common denominator (``weighted_component_bc``).  A second rule sends the
+corrective terms: a slot passes on its local value plus the terms
+arriving at its neighbours.  A real vertex's betweenness is that same
+sum, the plain Brandes value on the original graph.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from fractions import Fraction
+from math import lcm
 
 from .graph import DisconnectedGraphError, Graph
 from .modular import NDPartition
@@ -34,50 +36,76 @@ def weighted_component_bc(adj: list[list[int]], alpha: list[int],
     Path costs multiply the alpha of every vertex on the path (endpoints
     included); pair (s, t) contributes beta(s)beta(t) times the cost share
     of paths through v, scaled by 1/alpha(v).  All-ones weights give the
-    classic unordered-pair Brandes values.
+    classic unordered-pair Brandes values.  With sigma(x, y) the sum of the
+    path costs over all shortest x-y paths:
+
+        bc(v) = 1/alpha(v)^2 * sum over unordered {s, t}, v strictly on
+                a shortest s-t path, of
+                beta(s)beta(t) sigma(s,v)sigma(v,t) / sigma(s,t).
+
+    One Brandes pass per source s computes it in integers.  sigma is
+    symmetric, so each term is symmetric in s and t, and the sum over
+    ordered pairs (s, t) is twice the sum above.  Fix s, write sigma_s(u)
+    for sigma(s, u) (from one BFS; sigma_s(s) = alpha(s)), and let
+    B_s(v) = sum of beta(t)sigma(v,t)/sigma_s(t) over the t with v
+    strictly on a shortest s-t path.  Each such shortest v-t path leaves v
+    to a successor w of v in the BFS DAG of s, hence
+
+        B_s(v) = alpha(v) * sum over successors w of
+                 (beta(w)alpha(w)/sigma_s(w) + B_s(w)).
+
+    With D_s the lcm of all sigma_s(u), A_s(v) = D_s B_s(v)/alpha(v) obeys
+
+        A_s(v) = sum over successors w of
+                 alpha(w) (beta(w) D_s/sigma_s(w) + A_s(w)),
+
+    so A_s is an integer: sigma_s(w) divides D_s.  The ordered pairs
+    starting at s add beta(s)sigma_s(v)B_s(v) = beta(s)sigma_s(v)alpha(v)
+    A_s(v)/D_s to v.  Over D, the lcm of all D_s, and halving the ordered
+    sum:
+
+        bc(v) = sum over s != v of beta(s)sigma_s(v)A_s(v)(D/D_s)
+                / (2 alpha(v) D),
+
+    one Fraction per vertex in place of one per (s, v, t) triple.
     """
     size = len(adj)
-    dist = [[-1] * size for _ in range(size)]
-    sigma = [[0] * size for _ in range(size)]
-    for v in range(size):
-        dv = dist[v]
-        dv[v] = 0
-        order = [v]
-        queue = deque([v])
-        while queue:
-            u = queue.popleft()
+    num = [0] * size        # numerators over denom
+    denom = 1               # D, the lcm of the D_s so far
+    for s in range(size):
+        dist = [-1] * size
+        dist[s] = 0
+        sigma = [0] * size
+        sigma[s] = 1
+        preds: list[list[int]] = [[] for _ in range(size)]
+        order = [s]
+        for u in order:
+            sigma[u] *= alpha[u]
+            su = sigma[u]
+            du = dist[u] + 1
             for w in adj[u]:
-                if dv[w] == -1:
-                    dv[w] = dv[u] + 1
-                    queue.append(w)
+                if dist[w] == -1:
+                    dist[w] = du
                     order.append(w)
-        sv = sigma[v]
-        sv[v] = alpha[v]
-        for u in order[1:]:
-            total = 0
-            du = dv[u]
-            for w in adj[u]:
-                if dv[w] == du - 1:
-                    total += sv[w]
-            sv[u] = alpha[u] * total
-    out = [Fraction(0)] * size
-    for v in range(size):
-        acc = Fraction(0)
-        for s in range(size):
-            if s == v:
-                continue
-            dsv = dist[s][v]
-            for t in range(s + 1, size):
-                if t == v:
-                    continue
-                if dsv + dist[v][t] != dist[s][t]:
-                    continue
-                acc += Fraction(beta[s] * beta[t] * sigma[s][v] * sigma[v][t],
-                                sigma[s][t])
-        # sigma(s,v)sigma(v,t) carries alpha(v) twice: once converting to a
-        # through-v path cost, once more for the definitional prefactor
-        out[v] = acc / (alpha[v] * alpha[v])
-    return out
+                if dist[w] == du:
+                    sigma[w] += su
+                    preds[w].append(u)
+        d_s = lcm(*[sigma[u] for u in order])
+        acc = [0] * size    # A_s
+        for w in order[:0:-1]:
+            term = alpha[w] * (beta[w] * d_s // sigma[w] + acc[w])
+            for v in preds[w]:
+                acc[v] += term
+        if denom % d_s:
+            grown = lcm(denom, d_s)
+            scale = grown // denom
+            num = [x * scale for x in num]
+            denom = grown
+        scale = beta[s] * (denom // d_s)
+        for v in order[1:]:
+            if acc[v]:
+                num[v] += scale * sigma[v] * acc[v]
+    return [Fraction(num[v], 2 * alpha[v] * denom) for v in range(size)]
 
 
 def _component_bc_vector(comp: SplitComponent, alpha: list[int],

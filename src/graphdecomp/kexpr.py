@@ -107,26 +107,22 @@ def max_label(expr: KExpression) -> int:
 
 def serialize_kexpr(expr: KExpression) -> str:
     parts: list[str] = []
-
-    def emit(node: KExpression) -> None:
-        if isinstance(node, Intro):
+    # explicit stack of nodes and literal text still to emit, so that deep
+    # expressions do not hit the recursion limit
+    stack: list = [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            parts.append(node)
+        elif isinstance(node, Intro):
             parts.append(f"v({node.label})")
         elif isinstance(node, Union):
             parts.append("(")
-            emit(node.left)
-            parts.append("+")
-            emit(node.right)
-            parts.append(")")
-        elif isinstance(node, Join):
-            parts.append(f"eta({node.i},{node.j},")
-            emit(node.sub)
-            parts.append(")")
+            stack += (")", node.right, "+", node.left)
         else:
-            parts.append(f"rho({node.i},{node.j},")
-            emit(node.sub)
-            parts.append(")")
-
-    emit(expr)
+            op = "eta" if isinstance(node, Join) else "rho"
+            parts.append(f"{op}({node.i},{node.j},")
+            stack += (")", node.sub)
     return "".join(parts)
 
 
@@ -147,9 +143,11 @@ class _Parser:
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
     def expect(self, token: str) -> None:
-        self.skip_ws()
+        # no token starts with whitespace, so skip it only on a miss
         if not self.text.startswith(token, self.pos):
-            self.error(f"expected {token!r}")
+            self.skip_ws()
+            if not self.text.startswith(token, self.pos):
+                self.error(f"expected {token!r}")
         self.pos += len(token)
 
     def parse_int(self) -> int:
@@ -162,43 +160,54 @@ class _Parser:
         return int(self.text[start:self.pos])
 
     def parse_expr(self) -> KExpression:
-        c = self.peek()
-        if c == "v":
+        # iterative descent: ``pending`` holds the open unions (left operand
+        # or None) and the open eta/rho headers, innermost last
+        pending: list = []
+        while True:
+            c = self.peek()
+            if c == "(":
+                self.expect("(")
+                pending.append(None)
+                continue
+            if c in ("e", "r"):
+                name = "eta" if c == "e" else "rho"
+                self.expect(name)
+                self.expect("(")
+                i = self.parse_int()
+                self.expect(",")
+                j = self.parse_int()
+                self.expect(",")
+                pending.append((name, i, j))
+                continue
+            if c != "v":
+                self.error("expected 'v', '(', 'eta' or 'rho'")
             self.expect("v")
             self.expect("(")
             label = self.parse_int()
             self.expect(")")
             if label < 1:
                 self.error("labels are positive integers")
-            return Intro(label)
-        if c == "(":
-            self.expect("(")
-            left = self.parse_expr()
-            self.expect("+")
-            right = self.parse_expr()
-            self.expect(")")
-            return Union(left, right)
-        if c == "e":
-            self.expect("eta")
-            return self._parse_binary(Join, "eta")
-        if c == "r":
-            self.expect("rho")
-            return self._parse_binary(Rename, "rho")
-        self.error("expected 'v', '(', 'eta' or 'rho'")
-
-    def _parse_binary(self, ctor, name: str) -> KExpression:
-        self.expect("(")
-        i = self.parse_int()
-        self.expect(",")
-        j = self.parse_int()
-        self.expect(",")
-        sub = self.parse_expr()
-        self.expect(")")
-        if i == j:
-            self.error(f"{name} requires two distinct labels")
-        if i < 1 or j < 1:
-            self.error("labels are positive integers")
-        return ctor(i, j, sub)
+            expr: KExpression = Intro(label)
+            while pending:
+                top = pending[-1]
+                if top is None:             # left operand of a union done
+                    self.expect("+")
+                    pending[-1] = expr
+                    break
+                pending.pop()
+                if isinstance(top, tuple):
+                    name, i, j = top
+                    self.expect(")")
+                    if i == j:
+                        self.error(f"{name} requires two distinct labels")
+                    if i < 1 or j < 1:
+                        self.error("labels are positive integers")
+                    expr = (Join if name == "eta" else Rename)(i, j, expr)
+                else:                       # right operand of a union done
+                    self.expect(")")
+                    expr = Union(top, expr)
+            else:
+                return expr
 
 
 def parse_kexpr(text: str) -> KExpression:

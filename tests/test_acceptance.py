@@ -28,7 +28,7 @@ from graphdecomp import (FamilySpec, build_graph, betweenness_nd,
                          split_width)
 from graphdecomp.distances import Half
 
-from conftest import ALL_FAMILIES
+from conftest import ALL_FAMILIES, CLI_ENV
 
 
 def _stream(rng, count, max_n, families, er_cap=40):
@@ -166,7 +166,8 @@ def test_acceptance_scaling():
 
 def _cli(args, stdin_text=None) -> bytes:
     out = subprocess.run([sys.executable, "-m", "graphdecomp.cli", *args],
-                         input=stdin_text, capture_output=True, timeout=600)
+                         env=CLI_ENV, input=stdin_text, capture_output=True,
+                         timeout=600)
     assert out.returncode == 0, out.stderr.decode()
     return out.stdout
 

@@ -6,12 +6,12 @@ import pytest
 
 from graphdecomp import build_graph, write_edgelist
 
-from conftest import cycle, path
+from conftest import CLI_ENV, cycle, deep_kexpr_text, path
 
 
 def run_cli(args, stdin_text=None):
     return subprocess.run(
-        [sys.executable, "-m", "graphdecomp.cli", *args],
+        [sys.executable, "-m", "graphdecomp.cli", *args], env=CLI_ENV,
         input=stdin_text, capture_output=True, text=True, timeout=300)
 
 
@@ -72,6 +72,15 @@ def test_girth_from_expression(tmp_path):
     assert out.stdout.strip() == "0"
 
 
+def test_cycle_stats_from_deep_expression(tmp_path):
+    expr = tmp_path / "deep.kx"
+    expr.write_text(deep_kexpr_text("cycle"))
+    out = run_cli(["triangles", "--expr", str(expr)])
+    assert (out.returncode, out.stdout) == (0, "0\n")
+    out = run_cli(["girth", "--expr", str(expr)])
+    assert (out.returncode, out.stdout) == (0, "202\n")
+
+
 def test_girth_from_graph_stdin():
     text = write_edgelist(cycle(7))
     out = run_cli(["girth", "--method", "cw", "-"], stdin_text=text)
@@ -122,8 +131,8 @@ def test_check_detects_mismatch(tmp_path, monkeypatch):
         "c._check_one = lambda *a, **k: ('1', '2')\n"
         "sys.exit(main(['check', 'ecc', '--method', 'split', '--trials',"
         " '1', '--seed', '1']))\n")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True)
+    out = subprocess.run([sys.executable, "-c", code], env=CLI_ENV,
+                         capture_output=True, text=True)
     assert out.returncode == 3
 
 

@@ -213,6 +213,63 @@ def test_bc_weighted_all_ones_is_brandes(rng):
         assert got == oracle_betweenness(g)
 
 
+def _triple_sum_bc(adj, alpha, beta):
+    """The weighted component betweenness as a plain sum over (s, v, t)."""
+    size = len(adj)
+    dist = [[-1] * size for _ in range(size)]
+    sigma = [[0] * size for _ in range(size)]
+    for v in range(size):
+        dv, sv = dist[v], sigma[v]
+        dv[v], sv[v] = 0, alpha[v]
+        order = [v]
+        for u in order:
+            for w in adj[u]:
+                if dv[w] == -1:
+                    dv[w] = dv[u] + 1
+                    order.append(w)
+        for u in order[1:]:
+            sv[u] = alpha[u] * sum(sv[w] for w in adj[u]
+                                   if dv[w] == dv[u] - 1)
+    out = []
+    for v in range(size):
+        acc = Fraction(0)
+        for s in range(size):
+            for t in range(s + 1, size):
+                if v not in (s, t) and dist[s][v] + dist[v][t] == dist[s][t]:
+                    acc += Fraction(beta[s] * beta[t] * sigma[s][v]
+                                    * sigma[v][t], sigma[s][t])
+        out.append(acc / (alpha[v] * alpha[v]))
+    return out
+
+
+def _random_weights(rng, n, hi):
+    return ([rng.randint(1, hi) for _ in range(n)],
+            [rng.randint(1, hi) for _ in range(n)])
+
+
+def test_bc_weighted_kernel_equals_triple_sum(rng):
+    from graphdecomp.bc import weighted_component_bc
+    graphs = [connected_er(rng, rng.randint(3, 25)) for _ in range(40)]
+    graphs += [random_instance(fam, rng.randint(6, 25), rng).graph
+               for fam in ALL_FAMILIES for _ in range(3)]
+    graphs += [build_graph(1, []), build_graph(2, [(0, 1)])]
+    for g in graphs:
+        adj = [list(r) for r in g.adj]
+        alpha, beta = _random_weights(rng, g.n, 50)
+        assert weighted_component_bc(adj, alpha, beta) == \
+            _triple_sum_bc(adj, alpha, beta)
+
+
+def test_bc_weighted_kernel_past_machine_words(rng):
+    from graphdecomp.bc import weighted_component_bc
+    # 6-cube: 720 shortest paths between antipodes, alpha up to 1e6
+    adj = [[v ^ (1 << b) for b in range(6)] for v in range(64)]
+    alpha, beta = _random_weights(rng, 64, 10**6)
+    got = weighted_component_bc(adj, alpha, beta)
+    assert max(x.denominator for x in got) > 2**63
+    assert got == _triple_sum_bc(adj, alpha, beta)
+
+
 def test_bc_methods_equal_oracle(rng):
     for g in mixed_connected_instances(rng, 50, 40):
         want = oracle_betweenness(g)

@@ -14,7 +14,7 @@ from graphdecomp.distances import UNREACHABLE
 from graphdecomp.kexpr import (Intro, Join, KExprError, Rename, Union,
                                iter_postorder)
 
-from conftest import connected_er, cycle, path
+from conftest import connected_er, cycle, deep_kexpr_text, path
 
 FIG1_P4 = ("eta(1,2,(rho(2,3,eta(2,1,(rho(1,3,eta(1,2,(v(1)+v(2))))"
            "+v(1))))+v(2)))")
@@ -214,3 +214,14 @@ def test_dp_matches_oracle_randomized(rng):
         tri, girth = oracle_cycle_stats(g)
         assert dp_triangle_count(expr) == tri
         assert dp_girth(expr) == girth
+
+
+@pytest.mark.parametrize("shape", ["cycle", "fan"])
+def test_deep_expression_parses_and_solves(shape):
+    text = deep_kexpr_text(shape)
+    expr = parse_kexpr(text)
+    # compare texts: the dataclasses' __eq__ recurses
+    assert serialize_kexpr(expr) == text
+    tri, girth = oracle_cycle_stats(eval_kexpr(expr).graph)
+    assert dp_triangle_count(expr) == tri
+    assert dp_girth(expr) == girth
