@@ -7,10 +7,21 @@ or prime (splitless).  Components are linked by marker-vertex pairs; undoing
 every simple decomposition (joining the two marker neighborhoods) restores
 the original graph, which is how the tree is certified here.
 
-The split search is a closure sweep: seed one side with an edge, anchor one
-outside witness, and repeatedly pull in every vertex whose view of the side
-disagrees with the anchor's.  Cheap twin / pendant / cut-vertex rules run
-first so the sweep only pays off on graphs that are close to prime.
+The split search (``_find_split``) first takes the splits that need no
+search: a twin pair, or a pendant vertex with its neighbour.  A cycle of
+length >= 5 is prime, and so is a graph that ``_certify_prime`` grows from
+an induced P4 one vertex at a time without creating a twin or a pendant.
+Otherwise a closure search decides.  A closure starts from a seed side and
+one outside anchor and pulls in every vertex whose view of the side is
+neither empty nor the anchor's.  At its fixpoint the side is a split if
+both sides hold at least 2 vertices; and if the seed lies in one side A of a
+split (A, B) and the anchor is a vertex of B with a neighbour in A, the side
+never leaves A, so the closure finds a split.  With x of least degree d,
+the seeds N[x] (anchors outside N[x]) and {x, y} for every y != x (anchors
+in N(x) - {y}) meet every split: if x has no neighbour across, N[x] lies on
+x's side; otherwise N(x) holds the whole frontier across.  So a component
+costs fewer than n(d + 1) closures of O(n^2) mask operations each, and the
+search is complete: it returns None only on prime graphs.
 """
 
 from __future__ import annotations
@@ -23,6 +34,18 @@ from .graph import Graph, GraphError, build_graph
 COMPLETE = "complete"
 STAR = "star"
 PRIME = "prime"
+
+
+def _degree_kind(degs: list[int]) -> tuple[str, int]:
+    """(kind, star center or -1) of a connected component from its degrees."""
+    n = len(degs)
+    centers = [i for i, d in enumerate(degs) if d == n - 1]
+    if len(centers) == n:
+        return COMPLETE, -1
+    if len(centers) == 1 and all(d == 1 for i, d in enumerate(degs)
+                                 if i != centers[0]):
+        return STAR, centers[0]
+    return PRIME, -1
 
 
 def marker_label(edge_id: int, side: int) -> int:
@@ -45,17 +68,7 @@ class SplitComponent:
     center: int = -1             # star center (local index), else -1
 
     def classify(self) -> None:
-        n = len(self.labels)
-        degs = [len(a) for a in self.adj]
-        if all(d == n - 1 for d in degs):
-            self.kind, self.center = COMPLETE, -1
-            return
-        centers = [i for i, d in enumerate(degs) if d == n - 1]
-        if len(centers) == 1 and all(d == 1 for i, d in enumerate(degs)
-                                     if i != centers[0]):
-            self.kind, self.center = STAR, centers[0]
-            return
-        self.kind, self.center = PRIME, -1
+        self.kind, self.center = _degree_kind([len(a) for a in self.adj])
 
     def local_graph(self) -> Graph:
         rows = [tuple(sorted(a)) for a in self.adj]
@@ -278,13 +291,36 @@ def neighbor_sums(comp: SplitComponent, vals: list, targets: list[int]) -> list:
 def _find_split(masks: list[int], n: int) -> int | None:
     """One side of a split of a connected graph as a bitmask, or None.
 
-    Completeness: a splittable graph has a minimal split side that is
-    either a twin pair or connected; connected minimal sides are reached
-    by the anchored closure from some internal seed edge.  Before paying
-    for that sweep, a grow-by-one certificate usually settles primality:
-    adding a vertex to a connected split-prime graph can only create
-    splits with a twin-pair or pendant side, so a chain of twin-free and
-    pendant-free connected prefixes up from an induced P4 is a proof.
+    Twin pairs and pendant vertices give a split at once.  A cycle of
+    length >= 5 is prime, and so is a graph certified by
+    ``_certify_prime``: adding a vertex to a connected split-prime graph
+    can create only splits with a twin-pair or pendant side.  Otherwise a
+    two-case closure search decides, with x a vertex of least degree d:
+
+    (i)  seed N[x], anchor every vertex outside N[x];
+    (ii) for every y != x, seed {x, y}, anchor every vertex of N(x) - {y}.
+
+    Soundness.  At the fixpoint of ``_anchored_closure`` every outside
+    vertex sees either nothing of the side or exactly the anchor's view of
+    it, and in a connected graph that view is not empty; so the crossing
+    edges form a complete join, and the side is a split when both sides
+    hold at least 2 vertices.
+
+    Invariant.  Let (A, B) be a split with the seed inside A and the anchor
+    a frontier vertex of B (one with a neighbour in A).  While the side S
+    lies inside A, a vertex of B sees in S either nothing or the same set
+    as the anchor, so no vertex of B is ever pulled in: the closure ends
+    inside A, with at least the seed's 2 vertices, and its complement
+    holds B.  By soundness it returns a split.
+
+    Completeness.  Take any split (A, B), named so that x is in A.  If x
+    has no neighbour in B, then N[x] lies in A and case (i) anchors every
+    frontier vertex of B.  Otherwise x is on A's frontier and N(x) meets B
+    in exactly B's frontier; case (ii) with any y in A - {x} anchors it.
+    Either way some closure returns a split, so None means prime.
+
+    Cost.  At most (n - d - 1) + (n - 1)d < n(d + 1) closures, each
+    O(n^2) operations on n-bit masks.
     """
     if n < 4:
         return None
@@ -306,10 +342,6 @@ def _find_split(masks: list[int], n: int) -> int | None:
         if masks[v].bit_count() == 1:
             return (1 << v) | masks[v]
 
-    cut = _articulation_split(masks, n)
-    if cut is not None:
-        return cut
-
     # a single cycle of length >= 5 is prime; its path prefixes all carry
     # pendants, so the growth certificate below cannot see it
     if n >= 5 and all(m.bit_count() == 2 for m in masks):
@@ -318,20 +350,15 @@ def _find_split(masks: list[int], n: int) -> int | None:
     if _certify_prime(masks, n, full):
         return None
 
-    for x in range(n):
-        nx = masks[x]
-        ys = nx
-        while ys:
-            yb = ys & -ys
-            ys ^= yb
-            anchors = nx & ~yb
-            ds = anchors
-            while ds:
-                db = ds & -ds
-                ds ^= db
-                a = _anchored_closure(masks, n, full, (1 << x) | yb, db)
-                if a is not None:
-                    return a
+    x = min(range(n), key=lambda v: masks[v].bit_count())
+    xb, nx = 1 << x, masks[x]
+    cases = [(nx | xb, full & ~(nx | xb))]
+    cases += [(xb | yb, nx & ~yb) for yb in _bits(full & ~xb)]
+    for seed, anchors in cases:
+        for db in _bits(anchors):
+            side = _anchored_closure(masks, full, seed, db)
+            if side is not None:
+                return side
     return None
 
 
@@ -434,7 +461,7 @@ def _induced_p4s(masks: list[int], n: int, limit: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _anchored_closure(masks: list[int], n: int, full: int,
+def _anchored_closure(masks: list[int], full: int,
                       seed: int, anchor_bit: int) -> int | None:
     side = seed
     d0 = anchor_bit.bit_length() - 1
@@ -455,67 +482,6 @@ def _anchored_closure(masks: list[int], n: int, full: int,
     if side.bit_count() < 2 or (full & ~side).bit_count() < 2:
         return None
     return side
-
-
-def _articulation_split(masks: list[int], n: int) -> int | None:
-    adj = [[b.bit_length() - 1 for b in _bits(masks[v])] for v in range(n)]
-    disc = [-1] * n
-    low = [0] * n
-    cut_vertex = -1
-    timer = 0
-    stack = [(0, -1, iter(adj[0]))]
-    disc[0] = low[0] = timer
-    timer += 1
-    root_children = 0
-    while stack and cut_vertex < 0:
-        v, parent, it = stack[-1]
-        advanced = False
-        for w in it:
-            if disc[w] == -1:
-                disc[w] = low[w] = timer
-                timer += 1
-                if v == 0:
-                    root_children += 1
-                stack.append((w, v, iter(adj[w])))
-                advanced = True
-                break
-            elif w != parent:
-                low[v] = min(low[v], disc[w])
-        if not advanced:
-            stack.pop()
-            if stack:
-                pv = stack[-1][0]
-                low[pv] = min(low[pv], low[v])
-                if pv != 0 and low[v] >= disc[pv]:
-                    cut_vertex = pv
-    if cut_vertex < 0 and root_children >= 2:
-        cut_vertex = 0
-    if cut_vertex < 0:
-        return None
-    c = cut_vertex
-    seen = {c}
-    comps = []
-    for s in range(n):
-        if s in seen:
-            continue
-        comp = [s]
-        seen.add(s)
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for w in _bit_indices(masks[u]):
-                if w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-                    queue.append(w)
-        comps.append(comp)
-    comps.sort(key=len)
-    side = 1 << c
-    for v in comps[0]:
-        side |= 1 << v
-    if side.bit_count() >= 2 and n - side.bit_count() >= 2:
-        return side
-    return None
 
 
 def _bits(mask: int):
@@ -560,13 +526,10 @@ def split_decomposition(g: Graph) -> SplitTree:
     while work:
         labels, masks = work.pop()
         n = len(labels)
-        kind = _kind_from_masks(masks, n)
-        if kind is not None or n < 4:
-            components.append(_materialize(labels, masks, kind))
-            continue
-        side = _find_split(masks, n)
+        kind, _ = _degree_kind([m.bit_count() for m in masks])
+        side = _find_split(masks, n) if kind == PRIME else None
         if side is None:
-            components.append(_materialize(labels, masks, PRIME))
+            components.append(_materialize(labels, masks))
             continue
         eid = next_edge
         next_edge += 1
@@ -614,37 +577,10 @@ def split_decomposition(g: Graph) -> SplitTree:
     return st
 
 
-def _kind_from_masks(masks: list[int], n: int) -> str | None:
-    """COMPLETE/STAR when the masks say so, None for possibly-prime."""
-    if n <= 2:
-        return COMPLETE
-    full_deg = n - 1
-    center = -1
-    leaves = 0
-    for v, m in enumerate(masks):
-        c = m.bit_count()
-        if c == full_deg:
-            if center >= 0:
-                center = -2
-            elif center == -1:
-                center = v
-        elif c == 1:
-            leaves += 1
-    if center == -2 and leaves == 0:
-        return COMPLETE if all(m.bit_count() == full_deg for m in masks) else None
-    if center >= 0 and leaves == n - 1:
-        return STAR
-    if all(m.bit_count() == full_deg for m in masks):
-        return COMPLETE
-    return None
-
-
-def _materialize(labels, masks, kind: str | None) -> SplitComponent:
+def _materialize(labels, masks) -> SplitComponent:
     comp = SplitComponent(labels=labels,
                           adj=[set(_bit_indices(m)) for m in masks])
     comp.classify()
-    if kind is not None and comp.kind != kind:
-        raise GraphError("component classification mismatch")
     return comp
 
 

@@ -72,6 +72,14 @@ def test_girth_from_expression(tmp_path):
     assert out.stdout.strip() == "0"
 
 
+def test_expression_parse_error_has_position(tmp_path):
+    expr = tmp_path / "bad.kx"
+    expr.write_text("v(\u00b2)", encoding="utf-8")
+    out = run_cli(["girth", "--expr", str(expr)])
+    assert out.returncode == 1
+    assert out.stderr.startswith("error: parse error at position 2:")
+
+
 def test_cycle_stats_from_deep_expression(tmp_path):
     expr = tmp_path / "deep.kx"
     expr.write_text(deep_kexpr_text("cycle"))

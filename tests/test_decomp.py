@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+import graphdecomp.splitdec as splitdec
 from graphdecomp import (FamilySpec, GraphError, build_graph,
                          classify_prime_graph, effective_q, gen_family,
                          is_module, modular_decomposition, modular_width,
@@ -90,6 +91,81 @@ def test_tree_splits_into_stars(rng):
 def test_c5_is_split_prime():
     st = split_decomposition(cycle(5))
     assert len(st.components) == 1 and split_width(st) == 5
+
+
+def _masks(g):
+    return [sum(1 << w for w in g.adj[v]) for v in range(g.n)]
+
+
+def _is_split(masks, side):
+    """Reference: both sides have 2 vertices or more, and every vertex of
+    the side that sees the other side sees the same set there."""
+    n = len(masks)
+    other = ((1 << n) - 1) & ~side
+    if side.bit_count() < 2 or other.bit_count() < 2:
+        return False
+    views = {masks[v] & other for v in range(n) if side >> v & 1}
+    return len(views - {0}) <= 1
+
+
+def _has_split(masks):
+    # keeping the last vertex outside the side meets each bipartition once
+    return any(_is_split(masks, side)
+               for side in range(1, 1 << (len(masks) - 1)))
+
+
+def test_split_search_matches_brute_force(rng):
+    primes = 0
+    for _ in range(2500):
+        masks = _masks(connected_er(rng, rng.randint(4, 10)))
+        side = splitdec._find_split(masks, len(masks))
+        assert (side is not None) == _has_split(masks), masks
+        if side is None:
+            primes += 1
+        else:
+            assert _is_split(masks, side), masks
+    assert primes > 0
+
+
+def test_splits_only_the_closure_search_finds():
+    # no twins, no pendants, two prime components of order 5 each.  Two
+    # C5s sharing a vertex or joined by a bridge split only at a cut
+    # vertex.  Two P4s whose ends are joined split once, and the vertices
+    # of least degree see nothing across: only the N[x] seed reaches it.
+    # The join of two P4s splits once, and every vertex sees across: only
+    # the {x, y} seeds reach it.
+    c5 = [(i, (i + 1) % 5) for i in range(5)]
+    p4 = [(0, 1), (1, 2), (2, 3)]
+    two_p4 = p4 + [(u + 4, v + 4) for u, v in p4]
+    shared = build_graph(9, c5 + [(u + 4, v + 4) for u, v in c5])
+    bridged = build_graph(10, c5 + [(u + 5, v + 5) for u, v in c5] + [(0, 5)])
+    ends = build_graph(8, two_p4 + [(u, v) for u in (0, 3) for v in (4, 7)])
+    joined = build_graph(8, two_p4 + [(u, v) for u in range(4)
+                                      for v in range(4, 8)])
+    for g in (shared, bridged, ends, joined):
+        masks = _masks(g)
+        assert _is_split(masks, splitdec._find_split(masks, g.n))
+        st = split_decomposition(g)
+        assert st.recompose() == g
+        assert sorted(st.prime_orders()) == [5, 5]
+
+
+def test_split_search_closure_count(rng, monkeypatch):
+    # on a prime graph that the growth certificate leaves open, the closure
+    # search runs to the end: at most n(d + 1) closures, d the least degree
+    while True:
+        masks = _masks(connected_er(rng, 12))
+        n = len(masks)
+        if (not splitdec._certify_prime(masks, n, (1 << n) - 1)
+                and not _has_split(masks)):
+            break
+    calls = []
+    closure = splitdec._anchored_closure
+    monkeypatch.setattr(splitdec, "_anchored_closure",
+                        lambda *args: calls.append(args) or closure(*args))
+    assert splitdec._find_split(masks, n) is None
+    d = min(m.bit_count() for m in masks)
+    assert 0 < len(calls) <= n * (d + 1)
 
 
 def test_recomposition_identity(rng):

@@ -46,6 +46,9 @@ def test_parse_error_position():
         parse_kexpr("eta(1,2,")
     with pytest.raises(KExprError, match="trailing"):
         parse_kexpr("v(1))")
+    # a digit to str.isdigit, not to int()
+    with pytest.raises(KExprError, match="position 2: expected an integer"):
+        parse_kexpr("v(\u00b2)")
 
 
 @st.composite
