@@ -13,6 +13,16 @@ per-label-pair tables:
   dtab[p][q] minimum length of a path between the classes; the diagonal
              also admits closed walks, which is harmless because a closed
              walk that is not a path certifies an equally short cycle
+  top[p][c]  the two smallest distances from class p to distinct vertices
+             of class c, each with its vertex (girth only)
+  reps[c]    up to two vertices of class c
+
+No state is kept per vertex, so each operation costs a polynomial in the
+label count k alone: O(k) for an intro, a rename and a triangle join,
+O(k^2) for a union and a girth join, and O(k^2) once for the tables of a
+subexpression, which are allocated at its first edge.  Loops run only
+over occupied labels (a union's over the classes its smaller side's
+edges touch).
 
 Grammar (whitespace-insensitive):  expr := "v(" INT ")" | "(" expr "+" expr ")"
 | "eta(" INT "," INT "," expr ")" | "rho(" INT "," INT "," expr ")".
@@ -232,41 +242,54 @@ class LabeledGraph:
 
 def eval_kexpr(expr: KExpression) -> LabeledGraph:
     validate_kexpr(expr)
-    counter = 0
-    stack: list = []
-    # postorder evaluation with an explicit value stack: each value is
-    # (vertex list, label dict, adjacency-set dict)
+    adj: list[set[int]] = []
+    # postorder evaluation with an explicit value stack: each value maps a
+    # label to its vertices; unions and renames move the shorter list into
+    # the longer, so each vertex moves O(log n) times
+    stack: list[dict[int, list[int]]] = []
     for node in iter_postorder(expr):
         if isinstance(node, Intro):
-            v = counter
-            counter += 1
-            stack.append(([v], {v: node.label}, {v: set()}))
+            stack.append({node.label: [len(adj)]})
+            adj.append(set())
         elif isinstance(node, Union):
-            rv, rl, ra = stack.pop()
-            lv, ll, la = stack.pop()
-            ll.update(rl)
-            la.update(ra)
-            stack.append((lv + rv, ll, la))
+            right = stack.pop()
+            left = stack.pop()
+            if len(left) < len(right):
+                left, right = right, left
+            for label, verts in right.items():
+                _add_to_class(left, label, verts)
+            stack.append(left)
         elif isinstance(node, Join):
-            verts, labels, adj = stack.pop()
-            vi = [v for v in verts if labels[v] == node.i]
-            vj = [v for v in verts if labels[v] == node.j]
-            for u in vi:
-                row = adj[u]
+            classes = stack[-1]
+            vj = classes.get(node.j, ())
+            for u in classes.get(node.i, ()):
+                adj[u].update(vj)
                 for w in vj:
-                    row.add(w)
                     adj[w].add(u)
-            stack.append((verts, labels, adj))
         else:
-            verts, labels, adj = stack.pop()
-            for v in verts:
-                if labels[v] == node.i:
-                    labels[v] = node.j
-            stack.append((verts, labels, adj))
-    verts, labels, adj = stack.pop()
-    edges = [(u, w) for u in range(counter) for w in adj[u] if u < w]
-    return LabeledGraph(build_graph(counter, edges),
-                        [labels[v] for v in range(counter)])
+            classes = stack[-1]
+            verts = classes.pop(node.i, None)
+            if verts is not None:
+                _add_to_class(classes, node.j, verts)
+    n = len(adj)
+    labels = [0] * n
+    for label, verts in stack.pop().items():
+        for v in verts:
+            labels[v] = label
+    edges = [(u, w) for u in range(n) for w in adj[u] if u < w]
+    return LabeledGraph(build_graph(n, edges), labels)
+
+
+def _add_to_class(classes: dict[int, list[int]], label: int,
+                  verts: list[int]) -> None:
+    into = classes.get(label)
+    if into is None:
+        classes[label] = verts
+    elif len(into) >= len(verts):
+        into.extend(verts)
+    else:
+        verts.extend(into)
+        classes[label] = verts
 
 
 def verify_irredundant(expr: KExpression):
@@ -284,21 +307,51 @@ def verify_irredundant(expr: KExpression):
 
 
 class _State:
-    __slots__ = ("sizes", "mtab", "ntab", "dtab", "tcount", "mu",
-                 "vlabels", "reach")
+    """Pair tables of one subexpression.
 
-    def __init__(self, k: int):
-        kk = k + 1
+    The tables stay None until the first join adds an edge: before that
+    every entry is zero, UNREACHABLE or empty.
+    """
+
+    __slots__ = ("sizes", "reps", "tcount", "mu", "mtab", "ntab", "dtab",
+                 "top")
+
+    def __init__(self, kk: int, label: int, vertex: int):
         self.sizes = [0] * kk
-        self.mtab = [[0] * kk for _ in range(kk)]
-        self.ntab = [[0] * kk for _ in range(kk)]
-        self.dtab = [[UNREACHABLE] * kk for _ in range(kk)]
+        self.sizes[label] = 1
+        # reps[c]: up to two vertices of class c
+        self.reps = [()] * kk
+        self.reps[label] = (vertex,)
         self.tcount = 0
-        self.mu = UNREACHABLE
-        self.vlabels: dict[int, int] = {}       # vertex id -> current label
-        self.reach: list[dict[int, int]] = [dict() for _ in range(kk)]
-        # reach[p][v] = min length of a nonempty path from class p to v;
-        # backs the endpoint-distinct diagonal candidates of the girth DP.
+        self.mu = _INF
+        self.mtab = self.ntab = self.dtab = self.top = None
+
+    def touched(self) -> list[int]:
+        """The classes some edge has an end in."""
+        if self.mtab is None:
+            return []
+        return [p for p, row in enumerate(self.mtab) if any(row)]
+
+
+# the DPs keep distances as ints and float infinity, which saturates
+# natively, and hand out UNREACHABLE in its place
+_INF = float("inf")
+
+
+def _distance(x) -> Distance:
+    return UNREACHABLE if x == _INF else x
+
+
+def _best2(cands: list) -> tuple:
+    """The two smallest (dist, vertex) pairs over distinct vertices."""
+    if len(cands) < 2:
+        return tuple(cands)
+    cands.sort()
+    first = cands[0]
+    for pair in cands:
+        if pair[1] != first[1]:
+            return first, pair
+    return (first,)
 
 
 class _CycleDP:
@@ -309,157 +362,160 @@ class _CycleDP:
     a path length only when a cycle at most that long is already counted
     in the running girth.  Compositions that would traverse one join edge
     twice in a row (the degenerate case of the two-consecutive-join
-    correction) are replaced by two-endpoint candidates drawn from the
-    class-to-vertex distance rows.
+    correction) are replaced by two-endpoint candidates: the sum of the
+    two smallest distances from class p to distinct vertices of class c.
+
+    Those come from ``top``.  Let R[p](v) be the length of the shortest
+    walk from class p to v found so far (one or more edges), the function
+    the two-endpoint candidates are defined on; ``top[p][c]`` holds its two
+    smallest values over distinct vertices of class c, each with its
+    vertex.  Every operation rewrites R as a pointwise minimum of a few
+    old functions plus constants (``reps[c]``, two vertices of c, stands
+    for the constant function on c):
+
+      union       R[p] = R1[p] on the left vertices, R2[p] on the right
+      rename i>j  R[j] = min(R[j], R[i]), R[i] = nothing; class j absorbs i
+      join i,j    R[p](v) = min(R[p](v), via_i + 1 + R[j](v),
+                                via_j + 1 + R[i](v), via_i + 1 if v in j,
+                                via_j + 1 if v in i)
+                  with via_x = 0 for p = x, else the new d[p][x]: split a
+                  crossing walk at its last join edge
+
+    Lemma: if f = min_t (a_t + g_t) over finitely many g_t, the two
+    smallest values of f over distinct vertices are the two smallest of
+    the candidates a_t + g_t(v) over the pairs (g_t(v), v) kept in the
+    top two of each g_t, taking per vertex the least candidate.  Each
+    candidate is >= f at its vertex, so the candidates' two smallest are
+    >= f's.  Conversely let f(v) = a_t + g_t(v).  Either v is kept in
+    g_t's top two, giving a candidate f(v) at v, or g_t's top two are two
+    vertices other than v with g_t no larger, giving candidates <= f(v)
+    at two distinct vertices.  Applied to f's least vertex v1 this gives
+    a candidate <= f(v1); applied to v1 and the second vertex v2 it gives
+    candidates <= f(v2) at two distinct vertices.  By induction over the
+    operations, then, ``top`` holds exactly the two smallest values of R,
+    at a cost per operation bounded by the labels alone.
+
+    Every loop runs only over occupied labels (sizes[p] > 0): a label
+    without vertices has only zeros and UNREACHABLE in its rows and
+    columns, and empty ``top`` entries, and no operation changes that.
     """
 
     def __init__(self, expr: KExpression, girth: bool, trace=None):
-        self.k = max(1, max_label(expr))
+        self.kk = max(1, max_label(expr)) + 1
         self.girth = girth
         self.trace = trace
-        self.counter = 0
         state = self._run(expr)
-        self.sizes = state.sizes
-        self.mtab = state.mtab
-        self.ntab = state.ntab
-        self.dtab = state.dtab
         self.tcount = state.tcount
-        self.mu = state.mu
+        self.mu = _distance(state.mu)
 
     def _run(self, expr: KExpression) -> "_State":
         stack: list[_State] = []
+        counter = 0
         for node in iter_postorder(expr):
             if isinstance(node, Intro):
-                st = _State(self.k)
-                st.sizes[node.label] += 1
-                if self.girth:
-                    st.vlabels[self.counter] = node.label
-                    self.counter += 1
-                stack.append(st)
+                stack.append(_State(self.kk, node.label, counter))
+                counter += 1
             elif isinstance(node, Union):
                 s2 = stack.pop()
-                s1 = stack.pop()
-                kk = self.k + 1
-                for p in range(kk):
-                    s1.sizes[p] += s2.sizes[p]
-                    for q in range(kk):
-                        s1.mtab[p][q] += s2.mtab[p][q]
-                        s1.ntab[p][q] += s2.ntab[p][q]
-                        s1.dtab[p][q] = min(s1.dtab[p][q], s2.dtab[p][q])
-                s1.tcount += s2.tcount
-                s1.mu = min(s1.mu, s2.mu)
-                if self.girth:
-                    s1.vlabels.update(s2.vlabels)
-                    for p in range(kk):
-                        s1.reach[p].update(s2.reach[p])
-                stack.append(s1)
+                stack.append(self._union(stack.pop(), s2))
             elif isinstance(node, Rename):
                 stack.append(self._rename(node, stack.pop()))
             else:
                 stack.append(self._join(node, stack.pop()))
         return stack.pop()
 
+    def _union(self, s1: "_State", s2: "_State") -> "_State":
+        # every table merges symmetrically, so fold the side whose edges
+        # touch fewer classes into the other; the rows of an untouched
+        # class are zero or empty
+        touched1, touched2 = s1.touched(), s2.touched()
+        if len(touched1) < len(touched2):
+            s1, s2, touched2 = s2, s1, touched1
+        for p, size in enumerate(s2.sizes):
+            if size:
+                s1.sizes[p] += size
+                if len(s1.reps[p]) < 2:
+                    s1.reps[p] = (s1.reps[p] + s2.reps[p])[:2]
+        s1.tcount += s2.tcount
+        s1.mu = min(s1.mu, s2.mu)
+        for p in touched2:
+            m1, m2 = s1.mtab[p], s2.mtab[p]
+            n1, n2 = s1.ntab[p], s2.ntab[p]
+            for q in touched2:
+                m1[q] += m2[q]
+                n1[q] += n2[q]
+            if self.girth:
+                d1, d2 = s1.dtab[p], s2.dtab[p]
+                for q in touched2:
+                    if d2[q] < d1[q]:
+                        d1[q] = d2[q]
+                _extend(s1.top[p], s2.top[p], 0, touched2, s1.sizes)
+        return s1
+
     def _rename(self, expr: Rename, st: "_State") -> "_State":
         i, j = expr.i, expr.j
-        kk = self.k + 1
-        mtab, ntab, dtab = st.mtab, st.ntab, st.dtab
-        for tab, zero in ((mtab, 0), (ntab, 0)):
+        sizes, reps = st.sizes, st.reps
+        if not sizes[i]:
+            return st
+        occ = [p for p, size in enumerate(sizes) if size]
+        sizes[j] += sizes[i]
+        sizes[i] = 0
+        reps[j] = (reps[j] + reps[i])[:2]
+        reps[i] = ()
+        if st.mtab is None:
+            return st
+        for tab in (st.mtab, st.ntab):
             tab[j][j] = tab[j][j] + tab[i][j] + tab[i][i]
-            for p in range(kk):
-                if p in (i, j):
-                    continue
-                merged = tab[p][j] + tab[p][i]
-                tab[p][j] = merged
-                tab[j][p] = merged
-            for p in range(kk):
-                tab[i][p] = zero
-                tab[p][i] = zero
+            for p in occ:
+                if p != i and p != j:
+                    tab[p][j] = tab[j][p] = tab[p][j] + tab[p][i]
+            for p in occ:
+                tab[i][p] = tab[p][i] = 0
+        if not self.girth:
+            return st
+        dtab, top = st.dtab, st.top
         dtab[j][j] = min(dtab[j][j], dtab[i][j], dtab[i][i])
-        for p in range(kk):
-            if p in (i, j):
-                continue
-            merged = min(dtab[p][j], dtab[p][i])
-            dtab[p][j] = merged
-            dtab[j][p] = merged
-        for p in range(kk):
-            dtab[i][p] = UNREACHABLE
-            dtab[p][i] = UNREACHABLE
-        st.sizes[j] += st.sizes[i]
-        st.sizes[i] = 0
-        if self.girth:
-            for v, lab in st.vlabels.items():
-                if lab == i:
-                    st.vlabels[v] = j
-            row_i, row_j = st.reach[i], st.reach[j]
-            for v, dist in row_i.items():
-                if dist < row_j.get(v, UNREACHABLE):
-                    row_j[v] = dist
-            st.reach[i] = {}
+        for p in occ:
+            if p != i and p != j:
+                dtab[p][j] = dtab[j][p] = min(dtab[p][j], dtab[p][i])
+        for p in occ:
+            dtab[i][p] = dtab[p][i] = _INF
+        # class j absorbs class i: merge column i into column j, then
+        # row i into row j
+        for p in occ:
+            row = top[p]
+            if row[i]:
+                row[j] = _best2([*row[j], *row[i]]) if row[j] else row[i]
+                row[i] = ()
+        _extend(top[j], top[i], 0, occ, sizes)
+        top[i] = [()] * self.kk
         return st
-
-    def _two_endpoint_sum(self, st: "_State", p: int, c: int):
-        """Sum of the two smallest class-p distances to distinct vertices of c."""
-        best1 = best2 = UNREACHABLE
-        row = st.reach[p]
-        for v, lab in st.vlabels.items():
-            if lab != c:
-                continue
-            dist = row.get(v, UNREACHABLE)
-            if dist < best1:
-                best1, best2 = dist, best1
-            elif dist < best2:
-                best2 = dist
-        return best1 + best2
 
     def _join(self, expr: Join, st: "_State") -> "_State":
         i, j = expr.i, expr.j
-        sizes, mtab, ntab, dtab = st.sizes, st.mtab, st.ntab, st.dtab
-        if mtab[i][j] != 0:
+        if st.mtab is not None and st.mtab[i][j] != 0:
             raise RedundantExpressionError(
                 f"join eta({i},{j}) applied to classes already carrying "
-                f"{mtab[i][j]} edge(s)", expr)
+                f"{st.mtab[i][j]} edge(s)", expr)
+        sizes = st.sizes
         si, sj = sizes[i], sizes[j]
         if si == 0 or sj == 0:
             return st
-        kk = self.k + 1
+        if st.mtab is None:
+            kk = self.kk
+            st.mtab = [[0] * kk for _ in range(kk)]
+            st.ntab = [[0] * kk for _ in range(kk)]
+            if self.girth:
+                st.dtab = [[_INF] * kk for _ in range(kk)]
+                st.top = [[()] * kk for _ in range(kk)]
+        mtab, ntab = st.mtab, st.ntab
+        occ = [p for p, size in enumerate(sizes) if size]
+        others = [p for p in occ if p != i and p != j]
 
         st.tcount += sj * mtab[i][i] + si * mtab[j][j] + ntab[i][j]
 
         if self.girth:
-            st.mu = min(st.mu, 1 + dtab[i][j], 2 + dtab[i][i], 2 + dtab[j][j])
-            if si >= 2 and sj >= 2:
-                st.mu = min(st.mu, 4)
-            old = [row[:] for row in dtab]
-            dii, dij, djj = dtab[i][i], dtab[i][j], dtab[j][j]
-            dtab[i][j] = dtab[j][i] = 1
-            dtab[i][i] = min(2, dii) if si >= 2 else min(dii, 1 + dij, 2 + djj)
-            dtab[j][j] = min(2, djj) if sj >= 2 else min(djj, 1 + dij, 2 + dii)
-            for q in range(kk):
-                if q in (i, j):
-                    continue
-                new_iq = min(old[i][q], 1 + old[j][q])
-                new_jq = min(old[j][q], 1 + old[i][q])
-                dtab[i][q] = dtab[q][i] = new_iq
-                dtab[j][q] = dtab[q][j] = new_jq
-            for p in range(kk):
-                if p in (i, j):
-                    continue
-                for q in range(p + 1, kk):
-                    if q in (i, j):
-                        continue
-                    val = min(dtab[p][q],
-                              dtab[p][i] + 1 + dtab[j][q],
-                              dtab[p][j] + 1 + dtab[i][q])
-                    dtab[p][q] = dtab[q][p] = val
-            for p in range(kk):
-                if p in (i, j):
-                    continue
-                dtab[p][p] = min(dtab[p][p],
-                                 old[p][i] + 1 + old[j][p],
-                                 old[p][j] + 1 + old[i][p],
-                                 self._two_endpoint_sum(st, p, j) + 2,
-                                 self._two_endpoint_sum(st, p, i) + 2)
-            self._update_reach(st, i, j)
+            self._join_distances(st, i, j, occ, others)
 
         old_m_i = list(mtab[i])
         old_m_j = list(mtab[j])
@@ -467,9 +523,7 @@ class _CycleDP:
         ntab[j][j] += sj * (sj - 1) // 2 * si
         nij = ntab[i][j] + 2 * sj * old_m_i[i] + 2 * si * old_m_j[j]
         ntab[i][j] = ntab[j][i] = nij
-        for q in range(kk):
-            if q in (i, j):
-                continue
+        for q in others:
             niq = ntab[i][q] + si * old_m_j[q]
             njq = ntab[j][q] + sj * old_m_i[q]
             ntab[i][q] = ntab[q][i] = niq
@@ -482,31 +536,76 @@ class _CycleDP:
                 "sizes": list(sizes),
                 "m": [row[:] for row in mtab],
                 "n": [row[:] for row in ntab],
-                "d": [row[:] for row in dtab],
+                "d": [[_distance(x) for x in row] for row in st.dtab],
             })
         return st
 
-    def _update_reach(self, st: "_State", i: int, j: int) -> None:
-        # split a crossing path at its last join edge: the suffix is an
-        # old path from the far class (or the endpoint itself, length 0)
-        kk = self.k + 1
-        dtab = st.dtab
-        old_rows = [dict(st.reach[p]) for p in range(kk)]
-        for p in range(kk):
-            row = st.reach[p]
-            via_i = 0 if p == i else dtab[p][i]
-            via_j = 0 if p == j else dtab[p][j]
-            for v, lab in st.vlabels.items():
-                cand = UNREACHABLE
-                if lab == j:
-                    cand = via_i + 1
-                elif lab == i:
-                    cand = via_j + 1
-                suf_j = old_rows[j].get(v, UNREACHABLE)
-                suf_i = old_rows[i].get(v, UNREACHABLE)
-                cand = min(cand, via_i + 1 + suf_j, via_j + 1 + suf_i)
-                if cand < row.get(v, UNREACHABLE):
-                    row[v] = cand
+    def _join_distances(self, st: "_State", i: int, j: int,
+                        occ: list[int], others: list[int]) -> None:
+        si, sj, dtab, top = st.sizes[i], st.sizes[j], st.dtab, st.top
+        old_i, old_j = dtab[i][:], dtab[j][:]
+        dii, dij, djj = old_i[i], old_i[j], old_j[j]
+        st.mu = min(st.mu, 1 + dij, 2 + dii, 2 + djj)
+        if si >= 2 and sj >= 2:
+            st.mu = min(st.mu, 4)
+        dtab[i][j] = dtab[j][i] = 1
+        dtab[i][i] = min(2, dii) if si >= 2 else min(dii, 1 + dij, 2 + djj)
+        dtab[j][j] = min(2, djj) if sj >= 2 else min(djj, 1 + dij, 2 + dii)
+        # only the classes that reach i or j gain anything
+        near = [q for q in others if old_i[q] != _INF or old_j[q] != _INF]
+        for q in near:
+            dtab[i][q] = dtab[q][i] = min(old_i[q], 1 + old_j[q])
+            dtab[j][q] = dtab[q][j] = min(old_j[q], 1 + old_i[q])
+        new_i, new_j = dtab[i], dtab[j]
+        for a, p in enumerate(near):
+            row = dtab[p]
+            via_i, via_j = row[i] + 1, row[j] + 1
+            for q in near[a + 1:]:
+                val = min(via_i + new_j[q], via_j + new_i[q])
+                if val < row[q]:
+                    row[q] = dtab[q][p] = val
+        # a walk from class p that crosses the new edges is split at its
+        # last join edge: the suffix is an old walk from the far class, or
+        # the endpoint itself (distance 0, which beats every old walk from
+        # its own class)
+        sizes, reps_i, reps_j = st.sizes, st.reps[i], st.reps[j]
+        from_i, from_j = top[i][:], top[j][:]
+        from_i[i] = tuple([(0, v) for v in reps_i])
+        from_j[j] = tuple([(0, v) for v in reps_j])
+        for p in near:
+            row = top[p]
+            dtab[p][p] = min(dtab[p][p], old_i[p] + 1 + old_j[p],
+                             _two_endpoint_sum(row[j]) + 2,
+                             _two_endpoint_sum(row[i]) + 2)
+            _extend(row, from_j, dtab[p][i] + 1, occ, sizes)
+            _extend(row, from_i, dtab[p][j] + 1, occ, sizes)
+        # from class i, an old walk from i plus two edges never beats the
+        # old walk itself: of those, only the walks i-j-i count
+        _extend(top[i], from_j, 1, occ, sizes)
+        _extend(top[i], from_i, 2, (i,), sizes)
+        _extend(top[j], from_i, 1, occ, sizes)
+        _extend(top[j], from_j, 2, (j,), sizes)
+
+
+def _extend(row: list, src: list, shift: int, cols, sizes: list[int]) -> None:
+    """For c in cols, row[c] becomes the top two of row[c] and of src[c]
+    shifted by shift."""
+    for c in cols:
+        pairs = src[c]
+        if not pairs:
+            continue
+        cur = row[c]
+        if not cur:
+            row[c] = tuple([(shift + d, v) for d, v in pairs])
+        # shifted pairs no smaller than a full entry change nothing
+        elif not ((len(cur) == 2 or len(cur) == sizes[c])
+                  and cur[-1][0] <= shift + pairs[0][0]):
+            row[c] = _best2([*cur, *[(shift + d, v) for d, v in pairs]])
+
+
+def _two_endpoint_sum(pairs: tuple):
+    """Sum of the two smallest distances kept in a ``top`` entry."""
+    return pairs[0][0] + pairs[1][0] if len(pairs) == 2 else _INF
 
 
 def dp_triangle_count(expr: KExpression) -> int:
@@ -538,30 +637,38 @@ def kexpr_from_modular(g: Graph, md) -> KExpression:
     """
     from .modular import LEAF, PARALLEL, SERIES
 
-    def rec(node) -> KExpression:
+    # postorder over the tree with an explicit stack; ``done`` holds the
+    # expressions of finished subtrees, children in order
+    done: list[KExpression] = []
+    stack = [(md, False)]
+    while stack:
+        node, expanded = stack.pop()
         if node.kind == LEAF:
-            return Intro(1)
-        if node.kind == PARALLEL:
-            expr = rec(node.children[0])
-            for child in node.children[1:]:
-                expr = Union(expr, rec(child))
-            return expr
-        if node.kind == SERIES:
-            expr = rec(node.children[0])
-            for child in node.children[1:]:
-                expr = Rename(2, 1, Join(1, 2, Union(expr, Rename(1, 2, rec(child)))))
-            return expr
-        exprs = [rec(child) for child in node.children]
+            done.append(Intro(1))
+            continue
+        if not expanded:
+            stack.append((node, True))
+            stack.extend((child, False) for child in reversed(node.children))
+            continue
+        exprs = done[len(done) - len(node.children):]
+        del done[len(done) - len(node.children):]
         expr = exprs[0]
-        for t, child_expr in enumerate(exprs[1:], start=2):
-            expr = Union(expr, _lift(child_expr, t))
-        for a, b in node.quotient.edges():
-            expr = Join(a + 1, b + 1, expr)
-        for t in range(2, len(exprs) + 1):
-            expr = Rename(t, 1, expr)
-        return expr
-
-    return rec(md)
+        if node.kind == PARALLEL:
+            for child_expr in exprs[1:]:
+                expr = Union(expr, child_expr)
+        elif node.kind == SERIES:
+            for child_expr in exprs[1:]:
+                expr = Rename(2, 1, Join(1, 2, Union(expr,
+                                                     Rename(1, 2, child_expr))))
+        else:
+            for t, child_expr in enumerate(exprs[1:], start=2):
+                expr = Union(expr, _lift(child_expr, t))
+            for a, b in node.quotient.edges():
+                expr = Join(a + 1, b + 1, expr)
+            for t in range(2, len(exprs) + 1):
+                expr = Rename(t, 1, expr)
+        done.append(expr)
+    return done[0]
 
 
 def _lift(expr: KExpression, label: int) -> KExpression:
@@ -573,15 +680,13 @@ def kexpr_vertex_order(md) -> list[int]:
     from .modular import LEAF
 
     order: list[int] = []
-
-    def rec(node) -> None:
+    stack = [md]
+    while stack:
+        node = stack.pop()
         if node.kind == LEAF:
             order.append(node.vertex)
-            return
-        for child in node.children:
-            rec(child)
-
-    rec(md)
+        else:
+            stack.extend(reversed(node.children))
     return order
 
 

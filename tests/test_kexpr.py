@@ -13,6 +13,7 @@ from graphdecomp import (GraphError, build_graph, dp_girth,
 from graphdecomp.distances import UNREACHABLE
 from graphdecomp.kexpr import (Intro, Join, KExprError, Rename, Union,
                                iter_postorder)
+from graphdecomp.modular import LEAF, PARALLEL, SERIES, MDNode
 
 from conftest import connected_er, cycle, deep_kexpr_text, path
 
@@ -228,3 +229,64 @@ def test_deep_expression_parses_and_solves(shape):
     tri, girth = oracle_cycle_stats(eval_kexpr(expr).graph)
     assert dp_triangle_count(expr) == tri
     assert dp_girth(expr) == girth
+
+
+def test_dp_matches_oracle_up_to_six_labels(rng):
+    for _ in range(300):
+        expr = random_irredundant_kexpr(rng, rng.randint(2, 6),
+                                        rng.randint(1, 30))
+        tri, girth = oracle_cycle_stats(eval_kexpr(expr).graph)
+        assert dp_triangle_count(expr) == tri
+        assert dp_girth(expr) == girth
+
+
+def test_girth_needs_two_vertices_per_class_pair():
+    # found by a search over random expressions with few operations: the
+    # only cycle leaves a class through one vertex and comes back through
+    # another, so keeping one nearest vertex per class pair misses it
+    expr = parse_kexpr(
+        "eta(2,3,(eta(1,4,((eta(1,2,(v(2)+v(1)))+((v(2)+v(2))+v(4)))"
+        "+eta(1,2,(v(2)+(v(3)+rho(4,1,v(4)))))))+rho(4,1,v(2))))")
+    assert oracle_cycle_stats(eval_kexpr(expr).graph) == (0, 6)
+    assert dp_girth(expr) == 6
+
+
+@pytest.mark.parametrize("shape, triangles, girth",
+                         [("fan", 1999, 3), ("cycle", 0, 2002)])
+def test_deep_2000_step_shapes(shape, triangles, girth):
+    expr = parse_kexpr(deep_kexpr_text(shape, steps=2000))
+    assert dp_triangle_count(expr) == triangles
+    assert dp_girth(expr) == girth
+
+
+def _alternating_chain(levels):
+    """MDNode chain, series and parallel alternating: node k has the leaf
+    of vertex levels - k and node k + 1 as children, and the last node two
+    leaves.  So vertex levels - k is adjacent to every vertex below it
+    exactly when k is even."""
+    node = MDNode(LEAF, (0,), vertex=0)
+    for k in range(levels - 1, -1, -1):
+        node = MDNode(PARALLEL if k % 2 else SERIES, range(levels - k + 1),
+                      [MDNode(LEAF, (levels - k,), vertex=levels - k), node])
+    return node
+
+
+def test_kexpr_from_deep_modular_chain():
+    levels = 1500
+    md = _alternating_chain(levels)
+    g = build_graph(levels + 1, [(levels - k, w) for k in range(0, levels, 2)
+                                 for w in range(levels - k)])
+    expr = kexpr_from_modular(g, md)
+    assert kexpr_vertex_order(md) == list(range(levels, -1, -1))
+    assert eval_kexpr(expr).graph.relabel(kexpr_vertex_order(md)) == g
+    # 5000 levels stand for 6.25 million edges: check the expression
+    # through the label-only DPs, against the triangles counted by hand
+    # (two series vertices and any vertex below both)
+    levels = 5000
+    md = _alternating_chain(levels)
+    expr = kexpr_from_modular(None, md)     # only the tree is read
+    assert kexpr_vertex_order(md) == list(range(levels, -1, -1))
+    assert max_label(expr) == 2 and verify_irredundant(expr)[0]
+    assert dp_triangle_count(expr) == sum(b // 2 * (levels - b)
+                                          for b in range(0, levels, 2))
+    assert dp_girth(expr) == 3
