@@ -12,11 +12,11 @@ import json
 import random
 import sys
 import time
-from fractions import Fraction
 
 from .bc import betweenness_nd, betweenness_split
+from .blossom import Matching
 from .classify import effective_q
-from .distances import UNREACHABLE, Half, dist_str
+from .distances import UNREACHABLE, Half
 from .ecc import eccentricities_modular, eccentricities_qq3, eccentricities_split
 from .families import FAMILY_NAMES, random_instance
 from .graph import (DisconnectedGraphError, Graph, GraphError, read_edgelist,
@@ -56,136 +56,115 @@ def _per_component(g: Graph):
         yield sub, back
 
 
-def _value_str(x) -> str:
-    if isinstance(x, Fraction):
-        return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-    return str(x)
+# -- the problem -> method table ----------------------------------------------
+
+
+def _on(decompose, solve):
+    """A method that decomposes the graph and solves over the decomposition."""
+    return lambda g, cap: solve(g, decompose(g))
+
+
+def _cw(dp):
+    """The clique-width method: ``dp`` over a k-expression, built from the
+    graph's modular tree unless the expression itself is given."""
+    def solve(source, cap):
+        if isinstance(source, Graph):
+            source = kexpr_from_modular(source, modular_decomposition(source))
+        return dp(source)
+    return solve
+
+
+#: problem -> method -> solver(graph, oracle cap).  A command's first method
+#: is its default, and ``check`` compares a method with the "oracle" entry.
+METHODS = {
+    "ecc": {
+        "split": _on(split_decomposition, eccentricities_split),
+        "modular": _on(modular_decomposition, eccentricities_modular),
+        "qq3": _on(modular_decomposition, eccentricities_qq3),
+        "oracle": lambda g, cap: oracle_eccentricities(g),
+    },
+    "hyp": {
+        "split": _on(split_decomposition, hyperbolicity_split),
+        "nd": _on(nd_partition, hyperbolicity_nd),
+        "qq3": _on(modular_decomposition, hyperbolicity_qq3),
+        "mw": _on(modular_decomposition, hyperbolicity_mw_gate),
+        "oracle": lambda g, cap: oracle_hyperbolicity(g, cap=cap),
+    },
+    "bc": {
+        "split": _on(split_decomposition, betweenness_split),
+        "nd": _on(nd_partition, betweenness_nd),
+        "oracle": lambda g, cap: oracle_betweenness(g),
+    },
+    "match": {
+        "modular": _on(modular_decomposition, max_matching_modular),
+        "qq3": _on(modular_decomposition, max_matching_qq3),
+        "oracle": lambda g, cap: oracle_maximum_matching(g),
+    },
+    "girth": {
+        "cw": _cw(dp_girth),
+        "oracle": lambda g, cap: oracle_cycle_stats(g)[1],
+    },
+    "triangles": {
+        "cw": _cw(dp_triangle_count),
+        "oracle": lambda g, cap: oracle_cycle_stats(g)[0],
+    },
+}
 
 
 # -- subcommand bodies -------------------------------------------------------
 
 
-def cmd_ecc(args) -> int:
+def cmd_per_vertex(args) -> int:
     g = _load_graph(args.graph)
+    solve = METHODS[args.command][args.method]
     rows = []
     for sub, back in _per_component(g):
-        vals = _ecc_method(sub, args.method)
-        rows.extend([back[v], dist_str(vals[v])] for v in range(sub.n))
+        vals = solve(sub, None)
+        rows.extend([back[v], str(vals[v])] for v in range(sub.n))
     rows.sort(key=lambda r: r[0])
-    _emit_rows(args, ["vertex", "eccentricity"], rows)
+    _emit_rows(args, ["vertex", args.column], rows)
     return 0
-
-
-def _ecc_method(g: Graph, method: str):
-    if method == "oracle":
-        return oracle_eccentricities(g)
-    if method == "split":
-        return eccentricities_split(g, split_decomposition(g))
-    if method == "modular":
-        return eccentricities_modular(g, modular_decomposition(g))
-    if method == "qq3":
-        return eccentricities_qq3(g, modular_decomposition(g))
-    raise GraphError(f"unknown eccentricity method {method!r}")
 
 
 def cmd_diameter(args) -> int:
     g = _load_graph(args.graph)
-    best = 0
-    for sub, back in _per_component(g):
-        vals = _ecc_method(sub, args.method)
-        best = max(best, max(vals)) if sub.n else best
-    if len(g.connected_components()) > 1:
-        print("inf")
-    else:
-        print(dist_str(best))
+    solve = METHODS["ecc"][args.method]
+    best = max((max(solve(sub, None)) for sub, _ in _per_component(g)),
+               default=0)
+    print("inf" if len(g.connected_components()) > 1 else best)
     return 0
 
 
 def cmd_hyp(args) -> int:
     g = _load_graph(args.graph)
-    best = Half(0)
-    gates = []
-    for sub, back in _per_component(g):
-        if args.method == "oracle":
-            val = oracle_hyperbolicity(sub, cap=args.oracle_cap)
-        elif args.method == "split":
-            val = hyperbolicity_split(sub, split_decomposition(sub))
-        elif args.method == "nd":
-            val = hyperbolicity_nd(sub, nd_partition(sub))
-        elif args.method == "qq3":
-            val = hyperbolicity_qq3(sub, modular_decomposition(sub))
-        elif args.method == "mw":
-            gate, val = hyperbolicity_mw_gate(sub, modular_decomposition(sub))
-            gates.append(gate)
-            if not gate:
-                continue
-        else:
-            raise GraphError(f"unknown hyperbolicity method {args.method!r}")
-        if best < val:
-            best = val
-    if args.method == "mw" and not any(gates):
-        print("gate=false (delta <= 1; quotient kernel cannot settle it)")
-        return 0
-    print(str(best))
-    return 0
-
-
-def cmd_bc(args) -> int:
-    g = _load_graph(args.graph)
-    rows = []
-    for sub, back in _per_component(g):
-        if args.method == "oracle":
-            vals = oracle_betweenness(sub)
-        elif args.method == "split":
-            vals = betweenness_split(sub, split_decomposition(sub))
-        elif args.method == "nd":
-            vals = betweenness_nd(sub, nd_partition(sub))
-        else:
-            raise GraphError(f"unknown betweenness method {args.method!r}")
-        rows.extend([back[v], _value_str(vals[v])] for v in range(sub.n))
-    rows.sort(key=lambda r: r[0])
-    _emit_rows(args, ["vertex", "betweenness"], rows)
+    solve = METHODS["hyp"][args.method]
+    vals = [solve(sub, args.oracle_cap) for sub, _ in _per_component(g)]
+    if args.method == "mw":
+        # the gate reports a value only where the quotient settles delta > 1
+        vals = [val for gate, val in vals if gate]
+        if not vals:
+            print("gate=false (delta <= 1; quotient kernel cannot settle it)")
+            return 0
+    print(max(vals, default=Half(0)))
     return 0
 
 
 def cmd_match(args) -> int:
     g = _load_graph(args.graph)
-    if args.method == "oracle":
-        matching = oracle_maximum_matching(g)
-    elif args.method == "modular":
-        matching = max_matching_modular(g)
-    elif args.method == "qq3":
-        matching = max_matching_qq3(g)
-    else:
-        raise GraphError(f"unknown matching method {args.method!r}")
+    matching = METHODS["match"][args.method](g, None)
     for u, v in matching.edges():
         print(f"{u} {v}")
     print(f"cardinality {matching.cardinality()}")
     return 0
 
 
-def _cycle_stats(args, which: str) -> int:
+def cmd_cycles(args) -> int:
     if args.expr:
-        expr = parse_kexpr(open(args.expr).read())
-        val = dp_triangle_count(expr) if which == "triangles" else dp_girth(expr)
+        source, method = parse_kexpr(open(args.expr).read()), "cw"
     else:
-        g = _load_graph(args.graph)
-        if args.method == "cw":
-            expr = kexpr_from_modular(g, modular_decomposition(g))
-            val = dp_triangle_count(expr) if which == "triangles" else dp_girth(expr)
-        else:
-            tri, girth = oracle_cycle_stats(g)
-            val = tri if which == "triangles" else girth
-    print(dist_str(val) if which == "girth" else str(val))
+        source, method = _load_graph(args.graph), args.method
+    print(METHODS[args.command][method](source, None))
     return 0
-
-
-def cmd_girth(args) -> int:
-    return _cycle_stats(args, "girth")
-
-
-def cmd_triangles(args) -> int:
-    return _cycle_stats(args, "triangles")
 
 
 def cmd_gen(args) -> int:
@@ -226,49 +205,23 @@ def cmd_decompose(args) -> int:
 # -- check: algorithm-vs-oracle equality over generated instances ------------
 
 
+def _shown(value):
+    """A solver's output in the form ``check`` compares: matchings by their
+    cardinality, per-vertex lists entry by entry, values as text."""
+    if isinstance(value, Matching):
+        return str(value.cardinality())
+    if isinstance(value, list):
+        return [str(x) for x in value]
+    return str(value)
+
+
 def _check_one(problem: str, method: str, g: Graph, oracle_cap: int):
-    if problem == "ecc":
-        got = _ecc_method(g, method)
-        want = oracle_eccentricities(g)
-        return [dist_str(x) for x in got], [dist_str(x) for x in want]
-    if problem == "hyp":
-        if g.n > oracle_cap:
-            raise GraphError(f"instance exceeds the hyperbolicity oracle cap {oracle_cap}")
-        want = oracle_hyperbolicity(g, cap=oracle_cap)
-        if method == "split":
-            got = hyperbolicity_split(g, split_decomposition(g))
-        elif method == "nd":
-            got = hyperbolicity_nd(g, nd_partition(g))
-        elif method == "qq3":
-            got = hyperbolicity_qq3(g, modular_decomposition(g))
-        else:
-            raise GraphError(f"unknown hyperbolicity method {method!r}")
-        return str(got), str(want)
-    if problem == "bc":
-        want = oracle_betweenness(g)
-        if method == "split":
-            got = betweenness_split(g, split_decomposition(g))
-        elif method == "nd":
-            got = betweenness_nd(g, nd_partition(g))
-        else:
-            raise GraphError(f"unknown betweenness method {method!r}")
-        return [_value_str(x) for x in got], [_value_str(x) for x in want]
-    if problem == "match":
-        want = oracle_maximum_matching(g).cardinality()
-        if method == "modular":
-            got = max_matching_modular(g).cardinality()
-        elif method == "qq3":
-            got = max_matching_qq3(g).cardinality()
-        else:
-            raise GraphError(f"unknown matching method {method!r}")
-        return str(got), str(want)
-    if problem in ("girth", "triangles"):
-        expr = kexpr_from_modular(g, modular_decomposition(g))
-        tri, girth = oracle_cycle_stats(g)
-        if problem == "girth":
-            return dist_str(dp_girth(expr)), dist_str(girth)
-        return str(dp_triangle_count(expr)), str(tri)
-    raise GraphError(f"unknown check problem {problem!r}")
+    methods = METHODS[problem]
+    # the mw gate bounds delta from the quotient; it does not compute it
+    if method not in methods or method == "mw":
+        raise GraphError(f"unknown {problem} method {method!r}")
+    return (_shown(methods[method](g, oracle_cap)),
+            _shown(methods["oracle"](g, oracle_cap)))
 
 
 def cmd_check(args) -> int:
@@ -331,10 +284,11 @@ def make_parser() -> argparse.ArgumentParser:
                     "cross-checks")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, methods=None):
+    def common(p, problem=None):
         p.add_argument("graph", nargs="?", default="-",
                        help="edge-list file ('-' for stdin)")
-        if methods:
+        if problem:
+            methods = tuple(METHODS[problem])
             p.add_argument("--method", choices=methods, default=methods[0])
 
     def rows_format(p):
@@ -344,34 +298,33 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--oracle-cap", type=int, default=HYP_ORACLE_CAP)
 
     p = sub.add_parser("ecc", help="per-vertex eccentricities")
-    common(p, ("split", "modular", "qq3", "oracle"))
+    common(p, "ecc")
     rows_format(p)
-    p.set_defaults(func=cmd_ecc)
+    p.set_defaults(func=cmd_per_vertex, column="eccentricity")
 
     p = sub.add_parser("diameter", help="graph diameter")
-    common(p, ("split", "modular", "qq3", "oracle"))
+    common(p, "ecc")
     p.set_defaults(func=cmd_diameter)
 
     p = sub.add_parser("hyp", help="Gromov hyperbolicity (exact half-integer)")
-    common(p, ("split", "nd", "qq3", "mw", "oracle"))
+    common(p, "hyp")
     oracle_cap(p)
     p.set_defaults(func=cmd_hyp)
 
     p = sub.add_parser("bc", help="betweenness centrality (exact rationals)")
-    common(p, ("split", "nd", "oracle"))
+    common(p, "bc")
     rows_format(p)
-    p.set_defaults(func=cmd_bc)
+    p.set_defaults(func=cmd_per_vertex, column="betweenness")
 
     p = sub.add_parser("match", help="maximum matching")
-    common(p, ("modular", "qq3", "oracle"))
+    common(p, "match")
     p.set_defaults(func=cmd_match)
 
-    for name, fn in (("girth", cmd_girth), ("triangles", cmd_triangles)):
+    for name in ("girth", "triangles"):
         p = sub.add_parser(name, help=f"{name} via the expression DP or oracle")
-        p.add_argument("graph", nargs="?", default=None)
+        common(p, name)
         p.add_argument("--expr", help="file holding one k-expression")
-        p.add_argument("--method", choices=("cw", "oracle"), default="cw")
-        p.set_defaults(func=fn)
+        p.set_defaults(func=cmd_cycles)
 
     p = sub.add_parser("gen", help="generate a family instance (edge list)")
     p.add_argument("--family", choices=FAMILY_NAMES, required=True)
@@ -392,8 +345,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("check", help="algorithm-vs-oracle equality trials")
-    p.add_argument("problem",
-                   choices=("ecc", "hyp", "bc", "match", "girth", "triangles"))
+    p.add_argument("problem", choices=tuple(METHODS))
     p.add_argument("--method", required=True)
     p.add_argument("--family", choices=FAMILY_NAMES, default="mixed")
     p.add_argument("--n", type=int, default=0,

@@ -64,10 +64,6 @@ UNREACHABLE = _Unreachable()
 Distance = int | _Unreachable
 
 
-def dist_str(d: Distance) -> str:
-    return str(d)
-
-
 @total_ordering
 class Half:
     """Exact half-integer, stored as twice its value.

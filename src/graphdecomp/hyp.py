@@ -330,14 +330,19 @@ def split_tree_from_modular(g: Graph, md: MDNode) -> SplitTree:
     """
     from .splitdec import marker_label
 
+    if md.is_leaf():
+        comp = SplitComponent(labels=[md.vertex], adj=[set()], kind=COMPLETE)
+        return SplitTree(n=g.n, components=[comp])
+    if md.kind == PARALLEL:
+        raise DisconnectedGraphError("disconnected input")
     components: list[SplitComponent] = []
     tree_edges: list[tuple[int, int, int, int]] = []
-    next_edge = [0]
-
-    def build(node: MDNode, parent_slot: tuple[int, int] | None) -> None:
+    # parents before children, first child first, from an explicit stack:
+    # components and marker pairs are numbered in preorder
+    stack: list[tuple[MDNode, tuple[int, int] | None]] = [(md, None)]
+    while stack:
+        node, parent_slot = stack.pop()
         k = len(node.children)
-        if node.kind == PARALLEL and parent_slot is None:
-            raise DisconnectedGraphError("disconnected input")
         size = k + (0 if parent_slot is None else 1)
         adj: list[set[int]] = [set() for _ in range(size)]
         if node.kind == SERIES:
@@ -357,25 +362,20 @@ def split_tree_from_modular(g: Graph, md: MDNode) -> SplitTree:
         labels = [0] * size
         ci = len(components)
         comp = SplitComponent(labels=labels, adj=adj)
+        comp.classify()
         components.append(comp)
         if parent_slot is not None:
-            eid = next_edge[0]
-            next_edge[0] += 1
+            eid = len(tree_edges)
             labels[size - 1] = marker_label(eid, 0)
             pj, lj = parent_slot
             components[pj].labels[lj] = marker_label(eid, 1)
             tree_edges.append((ci, size - 1, pj, lj))
-        for slot, child in enumerate(node.children):
+        for slot in range(k - 1, -1, -1):
+            child = node.children[slot]
             if child.is_leaf():
                 labels[slot] = child.vertex
             else:
-                build(child, (ci, slot))
-        comp.classify()
-
-    if md.is_leaf():
-        comp = SplitComponent(labels=[md.vertex], adj=[set()], kind=COMPLETE)
-        return SplitTree(n=g.n, components=[comp])
-    build(md, None)
+                stack.append((child, (ci, slot)))
     st = SplitTree(n=g.n, components=components, tree_edges=tree_edges)
     st.validate()
     return st

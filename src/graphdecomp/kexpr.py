@@ -73,17 +73,22 @@ class Rename:
 KExpression = Intro | Union | Join | Rename
 
 
-def validate_kexpr(expr: KExpression) -> None:
+def validate_kexpr(expr: KExpression) -> int:
+    """Check the labels of every node; returns the largest label."""
+    out = 0
     for node in iter_postorder(expr):
         if isinstance(node, Intro):
             if node.label < 1:
                 raise KExprError("labels are positive integers")
+            out = max(out, node.label)
         elif isinstance(node, (Join, Rename)):
             if node.i == node.j:
                 op = "eta" if isinstance(node, Join) else "rho"
                 raise KExprError(f"{op}({node.i},{node.j},...) requires distinct labels")
             if node.i < 1 or node.j < 1:
                 raise KExprError("labels are positive integers")
+            out = max(out, node.i, node.j)
+    return out
 
 
 def iter_postorder(expr: KExpression):
@@ -294,9 +299,9 @@ def _add_to_class(classes: dict[int, list[int]], label: int,
 
 def verify_irredundant(expr: KExpression):
     """(True, None) or (False, first redundant Join in evaluation order)."""
-    validate_kexpr(expr)
+    largest = validate_kexpr(expr)
     try:
-        _CycleDP(expr, girth=False)
+        _CycleDP(expr, largest, girth=False)
     except RedundantExpressionError as exc:
         return False, exc.args[1]
     return True, None
@@ -400,8 +405,10 @@ class _CycleDP:
     columns, and empty ``top`` entries, and no operation changes that.
     """
 
-    def __init__(self, expr: KExpression, girth: bool, trace=None):
-        self.kk = max(1, max_label(expr)) + 1
+    def __init__(self, expr: KExpression, largest: int, girth: bool,
+                 trace=None):
+        # ``largest``: the largest label, as ``validate_kexpr`` returns it
+        self.kk = max(1, largest) + 1
         self.girth = girth
         self.trace = trace
         state = self._run(expr)
@@ -610,14 +617,12 @@ def _two_endpoint_sum(pairs: tuple):
 
 def dp_triangle_count(expr: KExpression) -> int:
     """Triangle count of the evaluated graph; rejects redundant expressions."""
-    validate_kexpr(expr)
-    return _CycleDP(expr, girth=False).tcount
+    return _CycleDP(expr, validate_kexpr(expr), girth=False).tcount
 
 
 def dp_girth(expr: KExpression, trace=None) -> Distance:
     """Girth of the evaluated graph (UNREACHABLE for forests)."""
-    validate_kexpr(expr)
-    return _CycleDP(expr, girth=True, trace=trace).mu
+    return _CycleDP(expr, validate_kexpr(expr), girth=True, trace=trace).mu
 
 
 # -------------------------------------------------------------------------

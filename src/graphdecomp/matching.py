@@ -1,6 +1,6 @@
 """Maximum matching via modular decomposition and the few-P4 case analysis.
 
-The modular algorithm solves each strong module recursively, reduces module
+The modular algorithm solves each strong module bottom-up, reduces module
 interiors to their matchings, then closes the gap with augmenting paths
 found inside a bounded witness subgraph: one representative per way an
 augmenting path can interact with a module (one internal matched edge, one
@@ -20,7 +20,7 @@ from .classify import (DISC_COCYCLE, DISC_CYCLE, SPIKED_PK, SPIKED_PK_BAR,
                        SPIKED_QK, SPIKED_QK_BAR, THICK_SPIDER, THIN_SPIDER,
                        classify_prime_graph)
 from .graph import Graph, GraphError, build_graph
-from .modular import LEAF, MDNode, PARALLEL, SERIES, modular_decomposition
+from .modular import MDNode, PRIME, SERIES, modular_decomposition
 
 
 class StructuralError(GraphError):
@@ -234,7 +234,8 @@ def _witness_loop(modules: list[list[int]], quotient_adj: list[set[int]],
             p = mate[v]
             if p is not None and p in mod_set:
                 fm_partner[v] = p
-    book = ModuleMatchBook.fresh(modules, mate)
+    # only the audit reads the book's counts
+    book = ModuleMatchBook.fresh(modules, mate) if audit else None
     rounds = 0
     limit = sum(len(m) for m in modules) + 2
     while True:
@@ -266,31 +267,39 @@ def _apply_augment(mate: list, path: list[int], book=None) -> None:
 
 def max_matching_modular(g: Graph, md: MDNode | None = None,
                          audit: bool = False) -> Matching:
+    return _max_matching(g, md, audit, by_class=False)
+
+
+def _max_matching(g: Graph, md: MDNode | None, audit: bool,
+                  by_class: bool) -> Matching:
+    """Solve every strong module after the modules below it.
+
+    ``iter_nodes`` lists each node before its descendants, so the reversed
+    list is a children-first walk with no recursion.  Sibling subtrees
+    cover disjoint vertex sets and a node reads and writes the mates of its
+    own vertices only, so the order among siblings leaves the matching
+    unchanged.  With ``by_class`` a prime node first tries the procedure of
+    its few-P4 quotient class.
+    """
     if md is None:
         md = modular_decomposition(g)
     mate: list = [None] * g.n
-    _solve_modular_node(g, md, mate, audit)
+    for node in reversed(list(md.iter_nodes())):
+        if node.kind == SERIES:
+            modules = [list(c.vertices) for c in node.children]
+            acc = modules[0]
+            for nxt in modules[1:]:
+                _witness_loop([acc, nxt], [{1}, {0}], mate, audit)
+                acc = acc + nxt
+        elif node.kind == PRIME and not (
+                by_class and _solve_prime_by_class(g, node, mate, audit)):
+            modules = [list(c.vertices) for c in node.children]
+            quotient_adj = [set(node.quotient.adj[i])
+                            for i in range(node.quotient.n)]
+            _witness_loop(modules, quotient_adj, mate, audit)
     out = Matching(mate)
     out.validate(g)
     return out
-
-
-def _solve_modular_node(g: Graph, node: MDNode, mate: list, audit: bool) -> None:
-    if node.kind == LEAF:
-        return
-    for child in node.children:
-        _solve_modular_node(g, child, mate, audit)
-    if node.kind == PARALLEL:
-        return
-    modules = [list(c.vertices) for c in node.children]
-    if node.kind == SERIES:
-        acc = modules[0]
-        for nxt in modules[1:]:
-            _witness_loop([acc, nxt], [{1}, {0}], mate, audit)
-            acc = acc + nxt
-        return
-    quotient_adj = [set(node.quotient.adj[i]) for i in range(node.quotient.n)]
-    _witness_loop(modules, quotient_adj, mate, audit)
 
 
 # -------------------------------------------------------------------------
@@ -666,40 +675,24 @@ def max_matching_prime_ptree(g: Graph, node: MDNode, cls, mate: list,
 
 def max_matching_qq3(g: Graph, md: MDNode | None = None,
                      audit: bool = False) -> Matching:
-    if md is None:
-        md = modular_decomposition(g)
-    mate: list = [None] * g.n
-    _solve_qq3_node(g, md, mate, audit)
-    out = Matching(mate)
-    out.validate(g)
-    return out
+    return _max_matching(g, md, audit, by_class=True)
 
 
-def _solve_qq3_node(g: Graph, node: MDNode, mate: list, audit: bool) -> None:
-    if node.kind == LEAF:
-        return
-    for child in node.children:
-        _solve_qq3_node(g, child, mate, audit)
-    if node.kind == PARALLEL:
-        return
-    if node.kind == SERIES:
-        modules = [list(c.vertices) for c in node.children]
-        acc = modules[0]
-        for nxt in modules[1:]:
-            _witness_loop([acc, nxt], [{1}, {0}], mate, audit)
-            acc = acc + nxt
-        return
+def _solve_prime_by_class(g: Graph, node: MDNode, mate: list,
+                          audit: bool) -> bool:
+    """Match a prime node by its quotient class's procedure, if one applies.
 
-    quotient = node.quotient
-    cls = classify_prime_graph(quotient, check_prime=False)
+    A class procedure runs only where it allows every nontrivial module;
+    elsewhere this returns False and the node takes the generic witness
+    loop.
+    """
+    cls = classify_prime_graph(node.quotient, check_prime=False)
     wit = cls.witness
-    # a class procedure runs only where it allows every nontrivial module;
-    # elsewhere the node falls through to the generic witness loop
     fat = {q for q, c in enumerate(node.children) if len(c.vertices) > 1}
     if cls.tag in (DISC_CYCLE, DISC_COCYCLE) and not fat:
         order = [node.children[q].vertices[0] for q in wit["cycle_order"]]
         match_disc(g, order, cls.tag == DISC_COCYCLE, mate)
-        return
+        return True
     if (cls.tag in (THIN_SPIDER, THICK_SPIDER)
             and fat.isdisjoint(wit["S"] + wit["K"])):
         s_list = [node.children[q].vertices[0] for q in wit["S"]]
@@ -708,12 +701,10 @@ def _solve_qq3_node(g: Graph, node: MDNode, mate: list, audit: bool) -> None:
                     for s in wit["S"]}
         match_spider(g, s_list, list(k_map.values()), matching,
                      wit["thick"], mate)
-        return
+        return True
     if cls.tag in (SPIKED_PK, SPIKED_PK_BAR, SPIKED_QK, SPIKED_QK_BAR):
         allowed = _fat_roles(wit, qk=cls.tag in (SPIKED_QK, SPIKED_QK_BAR))
         if fat <= {q for name, q in wit["roles"].items() if name in allowed}:
             max_matching_prime_ptree(g, node, cls, mate, audit)
-            return
-    modules = [list(c.vertices) for c in node.children]
-    quotient_adj = [set(quotient.adj[i]) for i in range(quotient.n)]
-    _witness_loop(modules, quotient_adj, mate, audit)
+            return True
+    return False

@@ -6,6 +6,7 @@ import pytest
 
 import graphdecomp
 from graphdecomp import build_graph
+from graphdecomp.modular import LEAF, PARALLEL, SERIES, MDNode
 
 # environment for CLI subprocesses: they import the package from where the
 # tests found it
@@ -44,6 +45,25 @@ def complete(n):
 
 def star(n_leaves):
     return build_graph(n_leaves + 1, [(0, i) for i in range(1, n_leaves + 1)])
+
+
+def alternating_chain(levels):
+    """MDNode chain, series and parallel alternating: node k has the leaf
+    of vertex levels - k and node k + 1 as children, and the last node two
+    leaves.  So vertex levels - k is adjacent to every vertex below it
+    exactly when k is even."""
+    node = MDNode(LEAF, (0,), vertex=0)
+    for k in range(levels - 1, -1, -1):
+        node = MDNode(PARALLEL if k % 2 else SERIES, range(levels - k + 1),
+                      [MDNode(LEAF, (levels - k,), vertex=levels - k), node])
+    return node
+
+
+def alternating_chain_graph(levels):
+    """The graph whose modular tree is ``alternating_chain(levels)``."""
+    return build_graph(levels + 1, [(levels - k, w)
+                                    for k in range(0, levels, 2)
+                                    for w in range(levels - k)])
 
 
 # (start, step, close) of the deep k-expressions: each step wraps the text

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from graphdecomp import build_graph, write_edgelist
+from graphdecomp.cli import METHODS, main
 
 from conftest import CLI_ENV, cycle, deep_kexpr_text, path
 
@@ -198,3 +199,24 @@ def test_flags_only_where_read(spider_file):
     out = run_cli(["hyp", "--method", "oracle", "--oracle-cap", "10",
                    spider_file])
     assert out.returncode == 1 and "cap" in out.stderr
+
+
+@pytest.mark.parametrize("problem", ["girth", "triangles"])
+def test_check_rejects_an_unknown_method(problem):
+    out = run_cli(["check", problem, "--method", "bogus", "--trials", "2",
+                   "--seed", "1"])
+    assert out.returncode == 1
+    assert out.stderr == f"error: unknown {problem} method 'bogus'\n"
+    assert out.stdout == ""
+
+
+def test_check_runs_every_method_of_the_table(capsys):
+    for problem, methods in METHODS.items():
+        for method in methods:
+            if method == "mw":      # a gate, not a value
+                continue
+            code = main(["check", problem, "--method", method, "--trials",
+                         "3", "--seed", "1", "--n", "16"])
+            out = capsys.readouterr().out
+            assert code == 0, (problem, method, out)
+            assert "summary trials 3 mismatches 0" in out

@@ -21,7 +21,8 @@ from graphdecomp.hyp import four_point_delta
 from graphdecomp.splitdec import (COMPLETE, STAR, SplitComponent, SplitTree,
                                   marker_label)
 
-from conftest import ALL_FAMILIES, complete, connected_er, cycle, path, star
+from conftest import (ALL_FAMILIES, alternating_chain, alternating_chain_graph,
+                      complete, connected_er, cycle, path, star)
 
 
 def mixed_connected_instances(rng, count, max_n, families=None):
@@ -130,6 +131,15 @@ def test_hyp_qq3_class_values():
     cc8 = gen_family(FamilySpec(kind="CoCycle", n=8), 0).graph
     assert hyperbolicity_qq3(cc8, modular_decomposition(cc8)) == Half(2)
     assert oracle_hyperbolicity(cc8) == Half(2)
+
+
+def test_hyp_qq3_on_a_deep_modular_chain():
+    g = alternating_chain_graph(40)
+    assert oracle_hyperbolicity(g, cap=g.n) == Half(1)
+    assert hyperbolicity_qq3(g, alternating_chain(40)) == Half(1)
+    # 1100 nested modules: deeper than Python's default recursion limit
+    g = alternating_chain_graph(1100)
+    assert hyperbolicity_qq3(g, alternating_chain(1100)) == Half(1)
 
 
 def test_hyp_all_methods_equal_oracle(rng):

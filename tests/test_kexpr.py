@@ -13,9 +13,9 @@ from graphdecomp import (GraphError, build_graph, dp_girth,
 from graphdecomp.distances import UNREACHABLE
 from graphdecomp.kexpr import (Intro, Join, KExprError, Rename, Union,
                                iter_postorder)
-from graphdecomp.modular import LEAF, PARALLEL, SERIES, MDNode
 
-from conftest import connected_er, cycle, deep_kexpr_text, path
+from conftest import (alternating_chain as _alternating_chain, connected_er,
+                      cycle, deep_kexpr_text, path)
 
 FIG1_P4 = ("eta(1,2,(rho(2,3,eta(2,1,(rho(1,3,eta(1,2,(v(1)+v(2))))"
            "+v(1))))+v(2)))")
@@ -257,18 +257,6 @@ def test_deep_2000_step_shapes(shape, triangles, girth):
     expr = parse_kexpr(deep_kexpr_text(shape, steps=2000))
     assert dp_triangle_count(expr) == triangles
     assert dp_girth(expr) == girth
-
-
-def _alternating_chain(levels):
-    """MDNode chain, series and parallel alternating: node k has the leaf
-    of vertex levels - k and node k + 1 as children, and the last node two
-    leaves.  So vertex levels - k is adjacent to every vertex below it
-    exactly when k is even."""
-    node = MDNode(LEAF, (0,), vertex=0)
-    for k in range(levels - 1, -1, -1):
-        node = MDNode(PARALLEL if k % 2 else SERIES, range(levels - k + 1),
-                      [MDNode(LEAF, (levels - k,), vertex=levels - k), node])
-    return node
 
 
 def test_kexpr_from_deep_modular_chain():

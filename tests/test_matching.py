@@ -13,7 +13,8 @@ from graphdecomp import (FamilySpec, Matching, StructuralError, build_graph,
 from graphdecomp.matching import ModuleMatchBook, match_join
 from graphdecomp.oracles import exhaustive_maximum_matching_size
 
-from conftest import complete, connected_er, cycle, path
+from conftest import (alternating_chain, alternating_chain_graph, complete,
+                      connected_er, cycle, path)
 
 
 def test_reduce_module_edges_examples():
@@ -296,3 +297,14 @@ def test_prime_ptree_small_cases(rng):
             got.validate(gg.graph)
             want = oracle_maximum_matching(gg.graph).cardinality()
             assert got.cardinality() == want, (fam_kind, k)
+
+
+def test_matchings_walk_a_deep_modular_chain():
+    # 1500 nested modules: deeper than Python's default recursion limit
+    levels = 1500
+    md = alternating_chain(levels)
+    g = alternating_chain_graph(levels)
+    for solve in (max_matching_modular, max_matching_qq3):
+        got = solve(g, md)
+        got.validate(g)
+        assert got.cardinality() == g.n // 2 == 750
