@@ -18,8 +18,7 @@ from .families import (FamilySpec, GeneratedGraph, gen_family,
 from .graph import (DisconnectedGraphError, Graph, GraphError, bfs_distances,
                     build_graph, read_edgelist, substitute, write_edgelist)
 from .hyp import (hyperbolicity_mw_gate, hyperbolicity_nd, hyperbolicity_qq3,
-                  hyperbolicity_split, split_tree_from_modular,
-                  split_tree_from_nd)
+                  hyperbolicity_split)
 from .kexpr import (KExpression, LabeledGraph, RedundantExpressionError,
                     dp_girth, dp_triangle_count, eval_kexpr,
                     kexpr_from_modular, kexpr_vertex_order, max_label,
@@ -36,6 +35,7 @@ from .oracles import (oracle_betweenness, oracle_cycle_stats,
                       oracle_diameter, oracle_eccentricities,
                       oracle_hyperbolicity, oracle_maximum_matching)
 from .splitdec import (SplitComponent, SplitTree, split_decomposition,
+                       split_tree_from_modular, split_tree_from_nd,
                        split_width)
 
 __version__ = "0.1.0"

@@ -3,7 +3,7 @@
 Components carry two vertex weights: a path-cost multiplicity alpha (the
 size of the boundary a marker stands for) and an endpoint mass beta (how
 many real vertices it stands for).  Both come from one rule given to
-``SplitTreeIndex.reroot``: alpha sums over a slot's neighbours, beta over
+``SplitTree.reroot``: alpha sums over a slot's neighbours, beta over
 all other slots.  Each component is then solved locally under those
 weights: complete and star components in closed form, prime components
 by one Brandes pass per source, summed in integers over a per-source
@@ -21,7 +21,7 @@ from math import lcm
 from .graph import DisconnectedGraphError, Graph
 from .modular import NDPartition
 from .splitdec import (COMPLETE, STAR, SplitComponent, SplitTree,
-                       SplitTreeIndex, neighbor_sums)
+                       neighbor_sums, split_tree_from_nd)
 
 
 def _require_connected(g: Graph) -> None:
@@ -126,7 +126,6 @@ def _component_bc_vector(comp: SplitComponent, alpha: list[int],
 def betweenness_over_tree(g: Graph, st: SplitTree) -> list[Fraction]:
     if g.n == 1:
         return [Fraction(0)]
-    idx = SplitTreeIndex(st)
     comps = st.components
 
     def weights(c: int, vals: list[tuple[int, int]],
@@ -136,7 +135,7 @@ def betweenness_over_tree(g: Graph, st: SplitTree) -> list[Fraction]:
         mass = sum(b for _, b in vals)
         return [(a, mass - vals[t][1]) for a, t in zip(alphas, targets)]
 
-    _, _, weighted = idx.reroot((1, 1), weights)
+    _, _, weighted = st.reroot((1, 1), weights)
     local = []
     for c, comp in enumerate(comps):
         vals = weighted(c)
@@ -149,7 +148,7 @@ def betweenness_over_tree(g: Graph, st: SplitTree) -> list[Fraction]:
         sums = neighbor_sums(comps[c], vals, targets)
         return [x + own[t] if own[t] else x for x, t in zip(sums, targets)]
 
-    _, _, arriving = idx.reroot(0, corrective)
+    _, _, arriving = st.reroot(0, corrective)
     out: list[Fraction] = [Fraction(0)] * g.n
     for c, comp in enumerate(comps):
         reals = [li for li, lab in enumerate(comp.labels) if lab >= 0]
@@ -165,8 +164,6 @@ def betweenness_split(g: Graph, st: SplitTree) -> list[Fraction]:
 
 
 def betweenness_nd(g: Graph, ndp: NDPartition) -> list[Fraction]:
-    from .hyp import split_tree_from_nd
-
     _require_connected(g)
     if g.n == 1:
         return [Fraction(0)]

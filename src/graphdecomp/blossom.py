@@ -32,9 +32,6 @@ class Matching:
         return sorted((u, v) for u, v in enumerate(self.mate)
                       if v is not None and u < v)
 
-    def is_matched(self, v: int) -> bool:
-        return self.mate[v] is not None
-
     def copy(self) -> "Matching":
         return Matching(self.mate)
 

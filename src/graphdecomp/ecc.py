@@ -1,7 +1,7 @@
 """Eccentricities through split trees, modular quotients, and class dispatch.
 
 Over a split tree, eccentricities supply one rule to
-``SplitTreeIndex.reroot``.  The value behind a marker is the eccentricity
+``SplitTree.reroot``.  The value behind a marker is the eccentricity
 of that marker in the graph on its side, less one; a real vertex carries
 0.  Slot t of a component sends out the maximum over the other slots s of
 dist(t, s) + value(s), less one, and a real vertex's eccentricity is that
@@ -21,7 +21,7 @@ from .classify import (DISC_COCYCLE, DISC_CYCLE, SPIKED_PK, SPIKED_PK_BAR,
 from .distances import Distance
 from .graph import DisconnectedGraphError, Graph, bfs_distances
 from .modular import MDNode, PRIME, SERIES
-from .splitdec import COMPLETE, STAR, SplitTree, SplitTreeIndex
+from .splitdec import COMPLETE, STAR, SplitTree
 
 
 def _require_connected(g: Graph) -> None:
@@ -55,7 +55,7 @@ def eccentricities_split(g: Graph, st: SplitTree) -> list[Distance]:
                            for s in range(len(vals)) if s != t) - 1)
         return out
 
-    _, _, arriving = SplitTreeIndex(st).reroot(0, rule)
+    _, _, arriving = st.reroot(0, rule)
     out: list[Distance] = [0] * g.n
     for c, comp in enumerate(comps):
         reals = [li for li, lab in enumerate(comp.labels) if lab >= 0]

@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .graph import Graph, GraphError, build_graph, substitute
-from .splitdec import (COMPLETE, STAR, SplitComponent, SplitTree,
-                       marker_label)
+from .splitdec import COMPLETE, STAR, SplitTree
 
 KINDS = (
     "Cograph", "ThinSpider", "ThickSpider", "Cycle", "CoCycle",
@@ -286,20 +285,13 @@ def random_degenerate_split_tree(n: int, rng: random.Random) -> SplitTree:
     """
     if n < 1:
         raise GraphError("need n >= 1")
+    st = SplitTree(n=n)
     if n <= 2:
-        comp = SplitComponent(labels=list(range(n)),
-                              adj=[set() for _ in range(n)])
-        if n == 2:
-            comp.adj[0].add(1)
-            comp.adj[1].add(0)
-        comp.kind = COMPLETE
-        comp.center = -1
-        return SplitTree(n=n, components=[comp])
+        st.add(list(range(n)), COMPLETE)
+        st.validate()
+        return st
 
-    components: list[SplitComponent] = []
-    tree_edges: list[tuple[int, int, int, int]] = []
     next_real = 0
-    next_edge = 0
     work: list[tuple[int, tuple[int, int] | None]] = [(n, None)]
 
     while work:
@@ -311,44 +303,23 @@ def random_degenerate_split_tree(n: int, rng: random.Random) -> SplitTree:
         # adjacent complete components would recompose into one big clique,
         # which blows the edge count up; keep clique neighbors star-shaped
         parent_complete = (parent is not None
-                           and components[parent[0]].kind == COMPLETE)
+                           and st.components[parent[0]].kind == COMPLETE)
         if size < 3:
             kind = COMPLETE
         elif parent_complete:
             kind = STAR
         else:
             kind = rng.choice((COMPLETE, STAR))
-        adj: list[set[int]] = [set() for _ in range(size)]
-        if kind == COMPLETE:
-            for a in range(size):
-                for b in range(a + 1, size):
-                    adj[a].add(b)
-                    adj[b].add(a)
-            center = -1
-        else:
-            center = 0
-            for b in range(1, size):
-                adj[0].add(b)
-                adj[b].add(0)
-        comp = SplitComponent(labels=[0] * size, adj=adj, kind=kind,
-                              center=center)
-        ci = len(components)
-        components.append(comp)
-        if parent is not None:
-            pj, lj = parent
-            comp.labels[size - 1] = marker_label(next_edge, 0)
-            components[pj].labels[lj] = marker_label(next_edge, 1)
-            tree_edges.append((ci, size - 1, pj, lj))
-            next_edge += 1
+        labels = [0] * size
+        ci = st.add(labels, kind, parent=parent, up=size - 1)
         parts = _random_composition(budget, slots, rng)
         for idx, part in enumerate(parts):
             if part == 1:
-                comp.labels[idx] = next_real
+                labels[idx] = next_real
                 next_real += 1
             else:
                 work.append((part, (ci, idx)))
 
-    st = SplitTree(n=n, components=components, tree_edges=tree_edges)
     st.validate()
     return st
 

@@ -24,21 +24,13 @@ class DisconnectedGraphError(GraphError):
 class Graph:
     """Finite simple undirected graph with sorted adjacency lists."""
 
-    __slots__ = ("n", "adj", "m", "had_duplicates", "_masks")
+    __slots__ = ("n", "adj", "m", "_masks")
 
-    def __init__(self, n: int, adj: Sequence[tuple[int, ...]], m: int,
-                 had_duplicates: bool = False):
+    def __init__(self, n: int, adj: Sequence[tuple[int, ...]], m: int):
         self.n = n
         self.adj = tuple(adj)
         self.m = m
-        self.had_duplicates = had_duplicates
         self._masks: tuple[int, ...] | None = None
-
-    # -- construction ----------------------------------------------------
-
-    @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        return build_graph(n, edges)
 
     # -- basic queries ---------------------------------------------------
 
@@ -137,30 +129,6 @@ class Graph:
     def is_connected(self) -> bool:
         return self.n <= 1 or len(self.connected_components()) == 1
 
-    def co_components(self) -> list[list[int]]:
-        """Connected components of the complement, without building it.
-
-        BFS over the complement using the standard unvisited-set trick,
-        so the cost stays near-linear even for dense graphs.
-        """
-        unvisited = set(range(self.n))
-        comps = []
-        while unvisited:
-            s = min(unvisited)
-            unvisited.discard(s)
-            comp = [s]
-            queue = deque([s])
-            while queue:
-                u = queue.popleft()
-                nbrs = set(self.adj[u])
-                reach = [w for w in unvisited if w not in nbrs]
-                for w in reach:
-                    unvisited.discard(w)
-                    comp.append(w)
-                queue.extend(reach)
-            comps.append(sorted(comp))
-        return comps
-
     # -- dunder ----------------------------------------------------------
 
     def __eq__(self, other):
@@ -177,27 +145,30 @@ class Graph:
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Canonical simple graph from an edge list.
 
-    Duplicate edges are collapsed (the result carries ``had_duplicates``);
-    self-loops and out-of-range endpoints are rejected with the offending
-    input index.
+    Duplicate edges are collapsed; self-loops and out-of-range endpoints
+    are rejected with the offending input index.
     """
     if n < 0:
         raise GraphError("vertex count must be non-negative")
     sets: list[set[int]] = [set() for _ in range(n)]
-    had_duplicates = False
     for idx, (u, v) in enumerate(edges):
         if not (0 <= u < n and 0 <= v < n):
             raise GraphError(f"edge #{idx} ({u},{v}) has an endpoint out of range 0..{n - 1}")
         if u == v:
             raise GraphError(f"edge #{idx} is a self-loop at {u}")
-        if v in sets[u]:
-            had_duplicates = True
-            continue
         sets[u].add(v)
         sets[v].add(u)
     adj = [tuple(sorted(s)) for s in sets]
     m = sum(len(r) for r in adj) // 2
-    return Graph(n, adj, m, had_duplicates)
+    return Graph(n, adj, m)
+
+
+def mask_vertices(mask: int) -> Iterator[int]:
+    """The vertices of a bitmask, lowest first."""
+    while mask:
+        b = mask & -mask
+        mask ^= b
+        yield b.bit_length() - 1
 
 
 def bfs_distances(g: Graph, source: int) -> list[Distance]:

@@ -4,7 +4,7 @@ The split scheme: the hyperbolicity of the whole graph is the maximum of
 every prime component's own value and, per tree edge, a gap term that
 depends only on whether each side's boundary is a clique and on the
 boundary sizes.  Both come from one rule given to
-``SplitTreeIndex.reroot``, over (boundary size, boundary is a clique)
+``SplitTree.reroot``, over (boundary size, boundary is a clique)
 pairs.  A boundary is a clique exactly when its marker is simplicial in
 its side graph: the marker is simplicial in its own component and every
 neighbouring marker's boundary is a clique.  A boundary's size is the sum
@@ -28,9 +28,9 @@ from __future__ import annotations
 
 from .distances import Half
 from .graph import DisconnectedGraphError, Graph, bfs_distances
-from .modular import MDNode, NDPartition, PARALLEL, PRIME, SERIES, TRUE_TWINS
-from .splitdec import (COMPLETE, PRIME as SPLIT_PRIME, STAR, SplitComponent,
-                       SplitTree, SplitTreeIndex, neighbor_sums)
+from .modular import MDNode, NDPartition, SERIES
+from .splitdec import (COMPLETE, PRIME, STAR, SplitTree, neighbor_sums,
+                       split_tree_from_modular, split_tree_from_nd)
 
 _BRUTE_CAP = 44
 
@@ -206,7 +206,7 @@ def hyperbolicity_over_tree(st: SplitTree,
     best = Half(0)
     prime_simplicial: dict[int, set[int]] = {}
     for c, comp in enumerate(comps):
-        if comp.kind == SPLIT_PRIME:
+        if comp.kind == PRIME:
             cg = comp.local_graph()
             prime_simplicial[c] = simplicial_vertices(cg)
             d = delta_of(cg)
@@ -229,7 +229,7 @@ def hyperbolicity_over_tree(st: SplitTree,
         return [(size, simp and not bad)
                 for size, bad, simp in zip(sizes, open_nbrs, simplicial)]
 
-    down, up, _ = SplitTreeIndex(st).reroot((1, True), rule)
+    down, up, _ = st.reroot((1, True), rule)
     for (c_size, c_clique), (d_size, d_clique) in zip(down, up):
         if not c_clique and not d_clique:
             gap = Half(2)
@@ -252,54 +252,6 @@ def hyperbolicity_split(g: Graph, st: SplitTree) -> Half:
 # -- kernelizations ----------------------------------------------------------
 
 
-def split_tree_from_nd(g: Graph, ndp: NDPartition) -> SplitTree:
-    """Stars / completes per twin class of size >= 2 around the quotient."""
-    from .splitdec import marker_label
-
-    components: list[SplitComponent] = []
-    tree_edges: list[tuple[int, int, int, int]] = []
-    k = ndp.quotient.n
-    center_labels: list[int] = []
-    next_edge = 0
-    for i, cls in enumerate(ndp.classes):
-        if len(cls) == 1:
-            center_labels.append(cls[0])
-            continue
-        center_labels.append(marker_label(next_edge, 0))
-        size = len(cls) + 1
-        adj: list[set[int]] = [set() for _ in range(size)]
-        if ndp.tags[i] == TRUE_TWINS:
-            for a in range(size):
-                for b in range(a + 1, size):
-                    adj[a].add(b)
-                    adj[b].add(a)
-            kind, center = COMPLETE, -1
-        else:
-            for b in range(1, size):
-                adj[0].add(b)
-                adj[b].add(0)
-            kind, center = STAR, 0
-        comp = SplitComponent(labels=[marker_label(next_edge, 1)] + list(cls),
-                              adj=adj, kind=kind, center=center)
-        components.append(comp)
-        next_edge += 1
-    central = SplitComponent(
-        labels=center_labels,
-        adj=[set(ndp.quotient.adj[i]) for i in range(k)])
-    central.classify()
-    central_idx = len(components)
-    components.append(central)
-    eid = 0
-    for i, cls in enumerate(ndp.classes):
-        if len(cls) == 1:
-            continue
-        tree_edges.append((central_idx, i, eid, 0))
-        eid += 1
-    st = SplitTree(n=g.n, components=components, tree_edges=tree_edges)
-    st.validate()
-    return st
-
-
 def hyperbolicity_nd(g: Graph, ndp: NDPartition) -> Half:
     _require_connected(g)
     if g.n < 4:
@@ -318,67 +270,6 @@ def hyperbolicity_mw_gate(g: Graph, md: MDNode) -> tuple[bool, Half | None]:
     if dq > Half(2):
         return True, dq
     return False, None
-
-
-def split_tree_from_modular(g: Graph, md: MDNode) -> SplitTree:
-    """The partial split decomposition mirrored off the modular tree.
-
-    One component per internal node: its quotient plus, below the root, a
-    universal marker standing for the outside.  Child slots hold markers
-    to the child components of internal children, or the child vertex
-    itself for leaves.
-    """
-    from .splitdec import marker_label
-
-    if md.is_leaf():
-        comp = SplitComponent(labels=[md.vertex], adj=[set()], kind=COMPLETE)
-        return SplitTree(n=g.n, components=[comp])
-    if md.kind == PARALLEL:
-        raise DisconnectedGraphError("disconnected input")
-    components: list[SplitComponent] = []
-    tree_edges: list[tuple[int, int, int, int]] = []
-    # parents before children, first child first, from an explicit stack:
-    # components and marker pairs are numbered in preorder
-    stack: list[tuple[MDNode, tuple[int, int] | None]] = [(md, None)]
-    while stack:
-        node, parent_slot = stack.pop()
-        k = len(node.children)
-        size = k + (0 if parent_slot is None else 1)
-        adj: list[set[int]] = [set() for _ in range(size)]
-        if node.kind == SERIES:
-            for a in range(k):
-                for b in range(a + 1, k):
-                    adj[a].add(b)
-                    adj[b].add(a)
-        elif node.kind == PRIME:
-            for a, b in node.quotient.edges():
-                adj[a].add(b)
-                adj[b].add(a)
-        if parent_slot is not None:
-            up = size - 1
-            for a in range(k):
-                adj[a].add(up)
-                adj[up].add(a)
-        labels = [0] * size
-        ci = len(components)
-        comp = SplitComponent(labels=labels, adj=adj)
-        comp.classify()
-        components.append(comp)
-        if parent_slot is not None:
-            eid = len(tree_edges)
-            labels[size - 1] = marker_label(eid, 0)
-            pj, lj = parent_slot
-            components[pj].labels[lj] = marker_label(eid, 1)
-            tree_edges.append((ci, size - 1, pj, lj))
-        for slot in range(k - 1, -1, -1):
-            child = node.children[slot]
-            if child.is_leaf():
-                labels[slot] = child.vertex
-            else:
-                stack.append((child, (ci, slot)))
-    st = SplitTree(n=g.n, components=components, tree_edges=tree_edges)
-    st.validate()
-    return st
 
 
 def hyperbolicity_qq3(g: Graph, md: MDNode) -> Half:

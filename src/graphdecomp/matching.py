@@ -13,7 +13,7 @@ pending-module rule and the SPLIT/MATCH join technique.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .blossom import Matching, find_augmenting_path, maximum_matching
 from .classify import (DISC_COCYCLE, DISC_CYCLE, SPIKED_PK, SPIKED_PK_BAR,
@@ -131,7 +131,6 @@ class WitnessGraph:
     graph: Graph                   # induced reduced subgraph on those ids
     matching: Matching             # the retained matching, on witness ids
     back: list[int]                # witness id -> original id
-    retained_edges: list[tuple[int, int]] = field(default_factory=list)
 
 
 def build_witness(modules: list[list[int]], quotient_adj: list[set[int]],
@@ -213,8 +212,7 @@ def build_witness(modules: list[list[int]], quotient_adj: list[set[int]],
         qedges = sum(len(s) for s in quotient_adj) // 2
         WITNESS_STATS.append((len(vertices), qedges))
     return WitnessGraph(vertices=vertices, graph=wg,
-                        matching=Matching(wmate), back=vertices,
-                        retained_edges=fprime)
+                        matching=Matching(wmate), back=vertices)
 
 
 def _module_interior_edges(module: list[int], fm_partner: dict[int, int]):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graph import Graph, GraphError, build_graph
+from .graph import Graph, GraphError, build_graph, mask_vertices
 
 LEAF = "leaf"
 PARALLEL = "parallel"
@@ -104,15 +104,8 @@ def _components(vertices, masks, in_set: int, complement: bool):
                 reach = (~masks[v] & ~b) if complement else masks[v]
                 nxt |= reach & remaining
             frontier = nxt & in_set
-        comps.append(tuple(_mask_vertices(comp)))
+        comps.append(tuple(mask_vertices(comp)))
     return comps
-
-
-def _mask_vertices(mask: int):
-    while mask:
-        b = mask & -mask
-        mask ^= b
-        yield b.bit_length() - 1
 
 
 def _refine_around(pivot: int, vertices, masks, in_set: int) -> list[int]:
@@ -127,7 +120,7 @@ def _refine_around(pivot: int, vertices, masks, in_set: int) -> list[int]:
     classes = [c for c in (nbrs, rest) if c]
     while True:
         changed = False
-        for z in _mask_vertices(in_set):
+        for z in mask_vertices(in_set):
             zadj = masks[z]
             out = []
             for cls in classes:
@@ -184,11 +177,11 @@ def _maximal_strong_modules(vertices, masks, in_set: int):
         closure = _min_module_closure(masks, in_set, vbit | cls)
         if closure != in_set:
             best |= closure
-    modules = [tuple(_mask_vertices(best))]
+    modules = [tuple(mask_vertices(best))]
     for cls in classes:
         if cls & best:
             continue
-        modules.append(tuple(_mask_vertices(cls)))
+        modules.append(tuple(mask_vertices(cls)))
     modules.sort()
     total = sum(len(m) for m in modules)
     if total != len(vertices):

@@ -7,6 +7,14 @@ or prime (splitless).  Components are linked by marker-vertex pairs; undoing
 every simple decomposition (joining the two marker neighborhoods) restores
 the original graph, which is how the tree is certified here.
 
+This module alone writes the tree format.  Every builder, whether
+``split_decomposition``, the kernel trees ``split_tree_from_nd`` and
+``split_tree_from_modular``, or a generator, appends components with
+``SplitTree.add`` and ends with ``SplitTree.validate``, the one place a tree
+is checked and rooted.  The rooting is kept as flat int arrays (``Rooting``),
+so ecc, hyp and bc share it through ``SplitTree.reroot`` at no per-component
+list cost.
+
 The split search (``_find_split``) first takes the splits that need no
 search: a twin pair, or a pendant vertex with its neighbour.  A cycle of
 length >= 5 is prime, and so is a graph that ``_certify_prime`` grows from
@@ -26,10 +34,15 @@ search is complete: it returns None only on prime graphs.
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import combinations
+from typing import NamedTuple
 
-from .graph import Graph, GraphError, build_graph
+from . import modular
+from .graph import (DisconnectedGraphError, Graph, GraphError, build_graph,
+                    mask_vertices)
 
 COMPLETE = "complete"
 STAR = "star"
@@ -89,17 +102,76 @@ class SplitComponent:
         return dist
 
 
+class Rooting(NamedTuple):
+    """A split tree, each tree rooted at its lowest component, as int arrays.
+
+    ``order`` lists the components parents first.  ``parent_edge[c]`` is
+    the tree edge from c to its parent (-1 at a root) and ``up_slot[c]``
+    the slot of c on that edge.  The children of c sit at positions
+    ``child_lo[c]`` to ``child_hi[c] - 1`` of ``child_edge`` (the tree
+    edge to the child) and ``child_slot`` (the slot of c on that edge).
+    """
+    trees: int
+    order: array
+    parent_edge: array
+    up_slot: array
+    child_lo: array
+    child_hi: array
+    child_edge: array
+    child_slot: array
+
+
 @dataclass
 class SplitTree:
     n: int
-    components: list[SplitComponent]
+    components: list[SplitComponent] = field(default_factory=list)
     # one entry per marker pair: (comp_a, local_a, comp_b, local_b)
     tree_edges: list[tuple[int, int, int, int]] = field(default_factory=list)
+    # set by validate(), cleared by add()
+    rooting: Rooting | None = field(default=None, init=False, repr=False,
+                                    compare=False)
+
+    def add(self, labels: list[int], kind: str | None = None,
+            adj: list[set[int]] | None = None,
+            parent: tuple[int, int] | None = None, up: int = 0) -> int:
+        """Append a component and return its index.
+
+        A COMPLETE or STAR ``kind`` (a star's centre at slot 0) gets its
+        edges written here; otherwise ``adj`` gives them and the degrees
+        give the kind.  With ``parent = (component, slot)``, slot ``up`` of
+        the new component and that slot become the marker pair of a new
+        tree edge.  The labels list is kept, not copied, so a builder may
+        fill in real vertices afterwards.
+        """
+        if kind is None:
+            comp = SplitComponent(labels, adj)
+            comp.classify()
+        else:
+            size = len(labels)
+            adj = [set() for _ in range(size)]
+            pairs = (combinations(range(size), 2) if kind == COMPLETE
+                     else ((0, b) for b in range(1, size)))
+            for a, b in pairs:
+                adj[a].add(b)
+                adj[b].add(a)
+            comp = SplitComponent(labels, adj, kind,
+                                  0 if kind == STAR else -1)
+        ci = len(self.components)
+        self.components.append(comp)
+        if parent is not None:
+            eid = len(self.tree_edges)
+            pc, ps = parent
+            labels[up] = marker_label(eid, 0)
+            self.components[pc].labels[ps] = marker_label(eid, 1)
+            self.tree_edges.append((ci, up, pc, ps))
+        self.rooting = None
+        return ci
 
     def prime_orders(self) -> list[int]:
         return [len(c.labels) for c in self.components if c.kind == PRIME]
 
     def validate(self) -> None:
+        """Check the tree and root it; every builder ends here."""
         seen_real = set()
         for comp in self.components:
             if comp.kind not in (COMPLETE, STAR, PRIME):
@@ -116,6 +188,109 @@ class SplitTree:
                 raise GraphError("tree edge endpoint is not a marker")
             if not is_marker(self.components[cb].labels[lb]):
                 raise GraphError("tree edge endpoint is not a marker")
+        self.rooting = self._root()
+
+    def _root(self) -> Rooting:
+        """Depth-first rooting of every tree of the forest, lowest first."""
+        ncomp = len(self.components)
+        edges = self.tree_edges
+        # the tree edges at each component, in CSR form and edge order
+        start = array("i", [0]) * (ncomp + 1)
+        for ca, _, cb, _ in edges:
+            start[ca + 1] += 1
+            start[cb + 1] += 1
+        for c in range(ncomp):
+            start[c + 1] += start[c]
+        fill = start[:ncomp]
+        incident = array("i", [0]) * (2 * len(edges))
+        for e, (ca, _, cb, _) in enumerate(edges):
+            for c in (ca, cb):
+                incident[fill[c]] = e
+                fill[c] += 1
+        order, child_edge, child_slot = array("i"), array("i"), array("i")
+        parent_edge = array("i", [-1]) * ncomp
+        up_slot = array("i", [-1]) * ncomp
+        child_lo = array("i", [0]) * ncomp
+        child_hi = array("i", [0]) * ncomp
+        seen = bytearray(ncomp)
+        trees = 0
+        for root in range(ncomp):
+            if seen[root]:
+                continue
+            trees += 1
+            seen[root] = 1
+            stack = [root]
+            while stack:
+                c = stack.pop()
+                order.append(c)
+                child_lo[c] = len(child_edge)
+                for e in incident[start[c]:start[c + 1]]:
+                    ca, la, cb, lb = edges[e]
+                    other, here, there = (cb, la, lb) if ca == c else (ca, lb, la)
+                    if seen[other]:
+                        continue
+                    seen[other] = 1
+                    parent_edge[other] = e
+                    up_slot[other] = there
+                    child_edge.append(e)
+                    child_slot.append(here)
+                    stack.append(other)
+                child_hi[c] = len(child_edge)
+        if len(edges) != ncomp - trees:
+            raise GraphError("tree edges close a cycle")
+        return Rooting(trees, order, parent_edge, up_slot, child_lo, child_hi,
+                       child_edge, child_slot)
+
+    def reroot(self, real, rule):
+        """Send one value across every tree edge in each direction.
+
+        Every slot of a component carries a value: ``real`` for a slot
+        holding a real vertex, and for a marker slot the value sent to the
+        component across that marker's tree edge.  ``rule(c, vals,
+        targets)`` gets the values at the slots of component c and returns,
+        for each slot t in targets, the value c sends out through t.  It
+        must not read ``vals[t]``: in the first pass the slot towards the
+        root still holds ``real``.
+
+        The first pass visits children before parents and fills
+        ``down[e]``, the value the child side of tree edge e sends to the
+        parent side; the second pass fills ``up[e]``, sent the other way.
+        Returns ``(down, up, arriving)``, where ``arriving(c)`` lists the
+        final values at the slots of c.  Called on the real slots of c
+        with ``arriving(c)``, the rule gives the per-vertex readout.
+        """
+        r = self.rooting
+        if r is None:
+            raise GraphError("split tree is not rooted; validate() it first")
+        if r.trees != 1:
+            raise GraphError("split tree is a forest; root one tree at a time")
+        comps = self.components
+        parent_edge, up_slot = r.parent_edge, r.up_slot
+        child_lo, child_hi = r.child_lo, r.child_hi
+        child_edge, child_slot = r.child_edge, r.child_slot
+        down = [real] * len(self.tree_edges)
+        up = [real] * len(self.tree_edges)
+
+        def arriving(c: int) -> list:
+            vals = [real] * len(comps[c].labels)
+            for i in range(child_lo[c], child_hi[c]):
+                vals[child_slot[i]] = down[child_edge[i]]
+            e = parent_edge[c]
+            if e >= 0:
+                vals[up_slot[c]] = up[e]
+            return vals
+
+        for c in reversed(r.order):
+            e = parent_edge[c]
+            if e >= 0:
+                down[e] = rule(c, arriving(c), [up_slot[c]])[0]
+        for c in r.order:
+            lo, hi = child_lo[c], child_hi[c]
+            if lo < hi:
+                outs = rule(c, arriving(c), child_slot[lo:hi].tolist())
+                for e, val in zip(child_edge[lo:hi], outs):
+                    up[e] = val
+        return down, up, arriving
 
     def recompose(self) -> Graph:
         """Undo every simple decomposition; certifies the tree."""
@@ -182,88 +357,6 @@ class SplitTree:
 def split_width(st: SplitTree) -> int:
     """Max prime component order, floored at 2."""
     return max([2] + st.prime_orders())
-
-
-class SplitTreeIndex:
-    """Rooted view of a split tree and its two-pass rerooting traversal.
-
-    Requires the component tree to be connected.
-    """
-
-    def __init__(self, st: SplitTree, root: int = 0):
-        self.st = st
-        ncomp = len(st.components)
-        nbrs: list[list[tuple[int, int]]] = [[] for _ in range(ncomp)]
-        for e, (ca, _, cb, _) in enumerate(st.tree_edges):
-            nbrs[ca].append((e, cb))
-            nbrs[cb].append((e, ca))
-        self.parent_edge: list[int | None] = [None] * ncomp
-        self.up_local: list[int | None] = [None] * ncomp
-        self.children: list[list[tuple[int, int, int]]] = [[] for _ in range(ncomp)]
-        #   children[c] = (edge_id, child comp, local marker slot in c)
-        self.order: list[int] = []
-        seen = [False] * ncomp
-        stack = [root]
-        seen[root] = True
-        while stack:
-            c = stack.pop()
-            self.order.append(c)
-            for e, other in nbrs[c]:
-                if seen[other]:
-                    continue
-                seen[other] = True
-                self.parent_edge[other] = e
-                ca, la, cb, lb = st.tree_edges[e]
-                self.up_local[other] = la if cb == c else lb
-                self.children[c].append((e, other, la if ca == c else lb))
-                stack.append(other)
-        if not all(seen):
-            raise GraphError("split tree is a forest; root one tree at a time")
-
-    def reroot(self, real, rule):
-        """Send one value across every tree edge in each direction.
-
-        Every slot of a component carries a value: ``real`` for a slot
-        holding a real vertex, and for a marker slot the value sent to the
-        component across that marker's tree edge.  ``rule(c, vals,
-        targets)`` gets the values at the slots of component c and returns,
-        for each slot t in targets, the value c sends out through t.  It
-        must not read ``vals[t]``: in the first pass the slot towards the
-        root still holds ``real``.
-
-        The first pass visits children before parents and fills
-        ``down[e]``, the value the child side of tree edge e sends to the
-        parent side; the second pass fills ``up[e]``, sent the other way.
-        Returns ``(down, up, arriving)``, where ``arriving(c)`` lists the
-        final values at the slots of c.  Called on the real slots of c
-        with ``arriving(c)``, the rule gives the per-vertex readout.
-        """
-        comps = self.st.components
-        parent_edge, up_local, children = (self.parent_edge, self.up_local,
-                                           self.children)
-        down = [real] * len(self.st.tree_edges)
-        up = [real] * len(self.st.tree_edges)
-
-        def arriving(c: int) -> list:
-            vals = [real] * len(comps[c].labels)
-            for e, _, loc in children[c]:
-                vals[loc] = down[e]
-            e = parent_edge[c]
-            if e is not None:
-                vals[up_local[c]] = up[e]
-            return vals
-
-        for c in reversed(self.order):
-            e = parent_edge[c]
-            if e is not None:
-                down[e] = rule(c, arriving(c), [up_local[c]])[0]
-        for c in self.order:
-            kids = children[c]
-            if kids:
-                outs = rule(c, arriving(c), [loc for _, _, loc in kids])
-                for (e, _, _), val in zip(kids, outs):
-                    up[e] = val
-        return down, up, arriving
 
 
 def neighbor_sums(comp: SplitComponent, vals: list, targets: list[int]) -> list:
@@ -491,13 +584,6 @@ def _bits(mask: int):
         yield b
 
 
-def _bit_indices(mask: int):
-    while mask:
-        b = mask & -mask
-        mask ^= b
-        yield b.bit_length() - 1
-
-
 # -------------------------------------------------------------------------
 # decomposition driver
 
@@ -509,7 +595,7 @@ def split_decomposition(g: Graph) -> SplitTree:
     input).  Every returned component is complete, a star, or prime; prime
     orders are those of the canonical decomposition.
     """
-    components: list[SplitComponent] = []
+    st = SplitTree(n=g.n)
     next_edge = 0
 
     # fragments: (labels, masks) with local bitset adjacency
@@ -529,13 +615,13 @@ def split_decomposition(g: Graph) -> SplitTree:
         kind, _ = _degree_kind([m.bit_count() for m in masks])
         side = _find_split(masks, n) if kind == PRIME else None
         if side is None:
-            components.append(_materialize(labels, masks))
+            st.add(labels, adj=[set(mask_vertices(m)) for m in masks])
             continue
         eid = next_edge
         next_edge += 1
         for piece, marker in ((side, marker_label(eid, 0)),
                               (((1 << n) - 1) & ~side, marker_label(eid, 1))):
-            keep = list(_bit_indices(piece))
+            keep = list(mask_vertices(piece))
             boundary = 0
             other = ((1 << n) - 1) & ~piece
             for i in keep:
@@ -560,11 +646,10 @@ def split_decomposition(g: Graph) -> SplitTree:
                 sub_masks[new] = acc
             work.append((sub_labels, sub_masks))
 
-    _merge_degenerates(components)
+    _merge_degenerates(st.components)
 
-    st = SplitTree(n=g.n, components=components)
     locator: dict[int, tuple[int, int]] = {}
-    for ci, comp in enumerate(components):
+    for ci, comp in enumerate(st.components):
         for li, lab in enumerate(comp.labels):
             if is_marker(lab):
                 locator[lab] = (ci, li)
@@ -575,13 +660,6 @@ def split_decomposition(g: Graph) -> SplitTree:
             st.tree_edges.append((ca, la, cb, lb))
     st.validate()
     return st
-
-
-def _materialize(labels, masks) -> SplitComponent:
-    comp = SplitComponent(labels=labels,
-                          adj=[set(_bit_indices(m)) for m in masks])
-    comp.classify()
-    return comp
 
 
 def _merge_degenerates(components: list[SplitComponent]) -> None:
@@ -645,3 +723,65 @@ def _contract_pair(a: SplitComponent, la: int,
             adj[pos[(0, i)]].add(pos[(1, j)])
             adj[pos[(1, j)]].add(pos[(0, i)])
     return SplitComponent(labels=labels, adj=adj)
+
+
+# -------------------------------------------------------------------------
+# kernel trees: partial split decompositions read off other decompositions
+
+
+def split_tree_from_nd(g: Graph, ndp: modular.NDPartition) -> SplitTree:
+    """The twin-class quotient, with a star or complete per class of size
+    >= 2 hung off the class's slot (the class's marker at slot 0)."""
+    st = SplitTree(n=g.n)
+    st.add([cls[0] if len(cls) == 1 else 0 for cls in ndp.classes],
+           adj=[set(row) for row in ndp.quotient.adj])
+    for i, cls in enumerate(ndp.classes):
+        if len(cls) > 1:
+            kind = COMPLETE if ndp.tags[i] == modular.TRUE_TWINS else STAR
+            st.add([0, *cls], kind, parent=(0, i))
+    st.validate()
+    return st
+
+
+def split_tree_from_modular(g: Graph, md: modular.MDNode) -> SplitTree:
+    """The partial split decomposition mirrored off the modular tree.
+
+    One component per internal node: its quotient plus, below the root, a
+    universal marker at slot 0 standing for the outside.  Child slots hold
+    markers to the child components of internal children, or the child
+    vertex itself for leaves.
+    """
+    st = SplitTree(n=g.n)
+    if md.is_leaf():
+        st.add([md.vertex], COMPLETE)
+        st.validate()
+        return st
+    if md.kind == modular.PARALLEL:
+        raise DisconnectedGraphError("disconnected input")
+    # parents before children, first child first, from an explicit stack
+    stack: list[tuple[modular.MDNode, tuple[int, int] | None]] = [(md, None)]
+    while stack:
+        node, parent = stack.pop()
+        off = 0 if parent is None else 1
+        # an internal child's slot gets its marker when the child is added
+        labels = [0] * off + [c.vertex for c in node.children]
+        if node.kind == modular.PRIME:
+            adj: list[set[int]] = [set() for _ in labels]
+            for a, b in node.quotient.edges():
+                adj[a + off].add(b + off)
+                adj[b + off].add(a + off)
+            if off:
+                adj[0].update(range(1, len(labels)))
+                for a in range(1, len(labels)):
+                    adj[a].add(0)
+            ci = st.add(labels, adj=adj, parent=parent)
+        else:
+            # a series node is a clique; below the root a parallel node is
+            # a star around the marker
+            kind = COMPLETE if node.kind == modular.SERIES else STAR
+            ci = st.add(labels, kind, parent=parent)
+        for slot in range(len(node.children) - 1, -1, -1):
+            if not node.children[slot].is_leaf():
+                stack.append((node.children[slot], (ci, slot + off)))
+    st.validate()
+    return st

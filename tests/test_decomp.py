@@ -226,6 +226,26 @@ def test_nd_split_tree(rng):
         assert st.recompose() == g
 
 
+def test_validate_rejects_tree_edges_that_close_a_cycle():
+    st = split_decomposition(path(6))
+    assert st.tree_edges
+    st.tree_edges.append(st.tree_edges[0])
+    with pytest.raises(GraphError, match="close a cycle"):
+        st.validate()
+
+
+def test_reroot_needs_one_validated_tree():
+    forest = split_decomposition(substitute(build_graph(2, []),
+                                            [path(5), cycle(5)]))
+    with pytest.raises(GraphError,
+                       match="split tree is a forest; root one tree at a time"):
+        forest.reroot(0, lambda c, vals, targets: [0] * len(targets))
+    st = splitdec.SplitTree(n=3)
+    st.add([0, 1, 2], splitdec.COMPLETE)
+    with pytest.raises(GraphError, match="not rooted"):
+        st.reroot(0, lambda c, vals, targets: [0] * len(targets))
+
+
 # -- neighbourhood diversity -------------------------------------------------
 
 

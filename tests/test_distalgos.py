@@ -1,7 +1,6 @@
 import random
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 
@@ -18,8 +17,7 @@ from graphdecomp import (DisconnectedGraphError, FamilySpec, build_graph,
                          substitute)
 from graphdecomp.distances import Half
 from graphdecomp.hyp import four_point_delta
-from graphdecomp.splitdec import (COMPLETE, STAR, SplitComponent, SplitTree,
-                                  marker_label)
+from graphdecomp.splitdec import COMPLETE, STAR, SplitTree
 
 from conftest import (ALL_FAMILIES, alternating_chain, alternating_chain_graph,
                       complete, connected_er, cycle, path, star)
@@ -314,78 +312,49 @@ def test_split_and_modular_agree_everywhere(rng):
 # -- hand-built split trees --------------------------------------------------
 
 
-class TreeBuilder:
-    """Star and complete components linked by marker pairs; every slot
-    left unlinked becomes a real vertex."""
-
-    def __init__(self):
-        self.comps, self.edges = [], []
-
-    def add(self, kind, size, parent=None, up=None):
-        """New component; slot ``up`` links to slot ``parent[1]`` of
-        component ``parent[0]``.  A star's center is slot 0."""
-        if kind == COMPLETE:
-            pairs = combinations(range(size), 2)
-        else:
-            pairs = ((0, b) for b in range(1, size))
-        adj = [set() for _ in range(size)]
-        for a, b in pairs:
-            adj[a].add(b)
-            adj[b].add(a)
-        ci = len(self.comps)
-        self.comps.append(SplitComponent(
-            labels=[None] * size, adj=adj, kind=kind,
-            center=0 if kind == STAR else -1))
-        if parent is not None:
-            eid = len(self.edges)
-            pc, ps = parent
-            self.comps[ci].labels[up] = marker_label(eid, 0)
-            self.comps[pc].labels[ps] = marker_label(eid, 1)
-            self.edges.append((ci, up, pc, ps))
-        return ci
-
-    def tree(self):
-        n = 0
-        for comp in self.comps:
-            for i, lab in enumerate(comp.labels):
-                if lab is None:
-                    comp.labels[i] = n
-                    n += 1
-        st = SplitTree(n=n, components=self.comps, tree_edges=self.edges)
-        st.validate()
-        return st
+def with_real_vertices(st):
+    """Number every slot left unlinked as a real vertex, then validate."""
+    for comp in st.components:
+        for i, lab in enumerate(comp.labels):
+            if lab is None:
+                comp.labels[i] = st.n
+                st.n += 1
+    st.validate()
+    return st
 
 
 def caterpillar_split_tree(rng, length):
     """A path of star and complete components of 3 to 5 slots; a star's
     path markers sit at its center or at its leaves."""
-    b = TreeBuilder()
+    st = SplitTree(n=0)
     parent, parent_kind = None, None
     for _ in range(length):
         kind = STAR if parent_kind == COMPLETE else rng.choice((COMPLETE, STAR))
         size = rng.randint(3, 5)
         up, down = rng.sample(range(size), 2)
-        ci = b.add(kind, size, parent, up)
+        ci = st.add([None] * size, kind, parent=parent, up=up)
         parent, parent_kind = (ci, down), kind
-    return b.tree()
+    return with_real_vertices(st)
 
 
 def wide_split_tree(rng, markers):
     """A complete component and a star each carrying ``markers`` child
     markers, besides the edge between them; a few children have a child
     of their own, so the deepest slot is unique."""
-    b = TreeBuilder()
-    clique = b.add(COMPLETE, markers + 2)
-    star = b.add(STAR, markers + 2, (clique, 0), 1)
+    st = SplitTree(n=0)
+    clique = st.add([None] * (markers + 2), COMPLETE)
+    star = st.add([None] * (markers + 2), STAR, parent=(clique, 0), up=1)
     for hub, slots in ((clique, range(1, markers + 1)),
                        (star, range(2, markers + 2))):
         for slot in slots:
             kind = STAR if hub == clique else rng.choice((COMPLETE, STAR))
-            child = b.add(kind, 3, (hub, slot), rng.randrange(3))
+            child = st.add([None] * 3, kind, parent=(hub, slot),
+                           up=rng.randrange(3))
             if rng.random() < 0.15:
-                b.add(STAR, 3, (child, b.comps[child].labels.index(None)),
-                      rng.randrange(3))
-    return b.tree()
+                free = st.components[child].labels.index(None)
+                st.add([None] * 3, STAR, parent=(child, free),
+                       up=rng.randrange(3))
+    return with_real_vertices(st)
 
 
 def _check_split_tree(st, hyp_cap=40):

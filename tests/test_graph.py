@@ -19,9 +19,9 @@ def test_build_c5():
     assert g.m == 5 and all(g.degree(v) == 2 for v in range(5))
 
 
-def test_duplicate_edges_collapse_with_flag():
+def test_duplicate_edges_collapse():
     g = build_graph(3, [(0, 1), (0, 1)])
-    assert g.m == 1 and g.had_duplicates
+    assert g.m == 1 and g.adj == ((1,), (0,), ())
 
 
 def test_rejects_self_loop_and_range():
