@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from typing import Sequence
 
 from .graph import DisconnectedGraphError, Graph
 from .modular import NDPartition
@@ -29,7 +30,7 @@ def _require_connected(g: Graph) -> None:
         raise DisconnectedGraphError("betweenness needs a connected graph")
 
 
-def weighted_component_bc(adj: list[list[int]], alpha: list[int],
+def weighted_component_bc(adj: Sequence[Sequence[int]], alpha: list[int],
                           beta: list[int]) -> list[Fraction]:
     """Exact weighted betweenness inside one small graph.
 
@@ -120,7 +121,7 @@ def _component_bc_vector(comp: SplitComponent, alpha: list[int],
         out: list[int | Fraction] = [0] * size
         out[r] = Fraction(acc, 2 * alpha[r])
         return out
-    return weighted_component_bc(comp.adj, alpha, beta)
+    return weighted_component_bc(comp.graph.adj, alpha, beta)
 
 
 def betweenness_over_tree(g: Graph, st: SplitTree) -> list[Fraction]:

@@ -50,7 +50,7 @@ def eccentricities_split(g: Graph, st: SplitTree) -> list[Distance]:
                     for t in targets]
         out = []
         for t in targets:
-            dist = comp.distances_from(t)
+            dist = bfs_distances(comp.graph, t)
             out.append(max(dist[s] + vals[s]
                            for s in range(len(vals)) if s != t) - 1)
         return out

@@ -32,6 +32,11 @@ class Graph:
         self.m = m
         self._masks: tuple[int, ...] | None = None
 
+    @classmethod
+    def from_rows(cls, rows: Sequence[tuple[int, ...]]) -> "Graph":
+        """The graph whose sorted, symmetric adjacency rows are ``rows``."""
+        return cls(len(rows), rows, sum(map(len, rows)) // 2)
+
     # -- basic queries ---------------------------------------------------
 
     def degree(self, v: int) -> int:
@@ -72,14 +77,11 @@ class Graph:
 
     def complement(self) -> "Graph":
         n = self.n
-        adj = []
-        m = 0
+        rows = []
         for u in range(n):
             nbrs = set(self.adj[u])
-            row = tuple(v for v in range(n) if v != u and v not in nbrs)
-            m += len(row)
-            adj.append(row)
-        return Graph(n, adj, m // 2)
+            rows.append(tuple(v for v in range(n) if v != u and v not in nbrs))
+        return Graph.from_rows(rows)
 
     def induced(self, vertices: Sequence[int]) -> tuple["Graph", list[int]]:
         """Subgraph induced by ``vertices``; returns it with the id map.
@@ -88,13 +90,9 @@ class Graph:
         """
         order = sorted(vertices)
         index = {v: i for i, v in enumerate(order)}
-        adj = []
-        m = 0
-        for v in order:
-            row = tuple(index[w] for w in self.adj[v] if w in index)
-            m += len(row)
-            adj.append(row)
-        return Graph(len(order), adj, m // 2), order
+        rows = [tuple(index[w] for w in self.adj[v] if w in index)
+                for v in order]
+        return Graph.from_rows(rows), order
 
     def relabel(self, perm: Sequence[int]) -> "Graph":
         """Image under ``perm``: vertex ``v`` becomes ``perm[v]``."""
@@ -158,9 +156,7 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
             raise GraphError(f"edge #{idx} is a self-loop at {u}")
         sets[u].add(v)
         sets[v].add(u)
-    adj = [tuple(sorted(s)) for s in sets]
-    m = sum(len(r) for r in adj) // 2
-    return Graph(n, adj, m)
+    return Graph.from_rows([tuple(sorted(s)) for s in sets])
 
 
 def mask_vertices(mask: int) -> Iterator[int]:

@@ -10,8 +10,11 @@ its side graph: the marker is simplicial in its own component and every
 neighbouring marker's boundary is a clique.  A boundary's size is the sum
 of its neighbours' sizes, where a real vertex counts one.
 
-A prime component's own value comes from ``four_point_delta``, the
-pruned scan of Cohen, Coudert and Lancin (*On computing the Gromov
+A prime component's own value comes from ``component_delta``: above
+``_BRUTE_CAP`` vertices it first tries two exact shortcuts (a block graph
+has value 0, and a graph of diameter at most 2 has value 1 or 1/2 by
+whether it holds an induced C4), and otherwise runs ``four_point_delta``,
+the pruned scan of Cohen, Coudert and Lancin (*On computing the Gromov
 hyperbolicity*, ACM JEA 2015).  It sorts the vertex pairs by distance,
 largest first, and compares each pair only with the pairs before it, so
 every quadruple is met in its largest-sum pairing.  If that pairing is
@@ -168,7 +171,7 @@ def _diameter_at_most_2(g: Graph) -> bool:
 
 
 def component_delta(g: Graph) -> Half:
-    """Hyperbolicity of one split component, sized for quotient graphs."""
+    """Hyperbolicity of one split component or quotient graph."""
     if g.n <= _BRUTE_CAP:
         return four_point_delta(g)
     if _is_block_graph(g):
@@ -195,21 +198,19 @@ def simplicial_vertices(g: Graph) -> set[int]:
 # -- the split scheme --------------------------------------------------------
 
 
-def hyperbolicity_over_tree(st: SplitTree,
-                            delta_of=component_delta) -> Half:
+def hyperbolicity_over_tree(st: SplitTree) -> Half:
     """Max of prime component values and per-edge gap terms."""
     comps = st.components
     if len(comps) == 1:
         if comps[0].kind in (COMPLETE, STAR):
             return Half(0)
-        return delta_of(comps[0].local_graph())
+        return component_delta(comps[0].graph)
     best = Half(0)
     prime_simplicial: dict[int, set[int]] = {}
     for c, comp in enumerate(comps):
         if comp.kind == PRIME:
-            cg = comp.local_graph()
-            prime_simplicial[c] = simplicial_vertices(cg)
-            d = delta_of(cg)
+            prime_simplicial[c] = simplicial_vertices(comp.graph)
+            d = component_delta(comp.graph)
             if best < d:
                 best = d
 
@@ -246,7 +247,7 @@ def hyperbolicity_split(g: Graph, st: SplitTree) -> Half:
     _require_connected(g)
     if g.n < 4:
         return Half(0)
-    return hyperbolicity_over_tree(st, delta_of=four_point_delta)
+    return hyperbolicity_over_tree(st)
 
 
 # -- kernelizations ----------------------------------------------------------
@@ -257,7 +258,7 @@ def hyperbolicity_nd(g: Graph, ndp: NDPartition) -> Half:
     if g.n < 4:
         return Half(0)
     st = split_tree_from_nd(g, ndp)
-    return hyperbolicity_over_tree(st, delta_of=four_point_delta)
+    return hyperbolicity_over_tree(st)
 
 
 def hyperbolicity_mw_gate(g: Graph, md: MDNode) -> tuple[bool, Half | None]:
@@ -277,4 +278,4 @@ def hyperbolicity_qq3(g: Graph, md: MDNode) -> Half:
     if g.n < 4:
         return Half(0)
     st = split_tree_from_modular(g, md)
-    return hyperbolicity_over_tree(st, delta_of=component_delta)
+    return hyperbolicity_over_tree(st)

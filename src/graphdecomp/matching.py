@@ -61,10 +61,6 @@ class ModuleMatchBook:
                 book._bump(u, v, +1)
         return book
 
-    def _key(self, u: int, v: int):
-        a, b = self.module_of[u], self.module_of[v]
-        return (a, None) if a == b else (min(a, b), max(a, b))
-
     def _bump(self, u: int, v: int, delta: int) -> None:
         a, b = self.module_of[u], self.module_of[v]
         if a == b:
@@ -130,22 +126,21 @@ class WitnessGraph:
     vertices: list[int]            # original vertex ids, sorted
     graph: Graph                   # induced reduced subgraph on those ids
     matching: Matching             # the retained matching, on witness ids
-    back: list[int]                # witness id -> original id
 
 
-def build_witness(modules: list[list[int]], quotient_adj: list[set[int]],
+def build_witness(modules: list[list[int]], quotient: Graph,
                   fm_partner: dict[int, int], mate: list) -> WitnessGraph:
     """Bounded characteristic subgraph for the current matching.
 
-    ``fm_partner`` maps each vertex matched inside its module's retained
-    matching to its partner (the reduced interior edges); ``mate`` is the
-    evolving global matching over original ids.
+    Module i is vertex i of the prime ``quotient``.  ``fm_partner`` maps
+    each vertex matched inside its module's retained matching to its
+    partner (the reduced interior edges); ``mate`` is the evolving global
+    matching over original ids.
     """
     module_of = {}
     for i, mod in enumerate(modules):
         for v in mod:
             module_of[v] = i
-    scope = module_of.keys()
 
     intra_f: dict[int, list[tuple[int, int]]] = {}
     cross_f: dict[tuple[int, int], list[tuple[int, int]]] = {}
@@ -194,25 +189,26 @@ def build_witness(modules: list[list[int]], quotient_adj: list[set[int]],
 
     vertices = sorted(chosen)
     index = {v: i for i, v in enumerate(vertices)}
-    edges = []
-    for a_pos, u in enumerate(vertices):
-        for v in vertices[a_pos + 1:]:
-            mu, mv = module_of[u], module_of[v]
-            if mu == mv:
-                if fm_partner.get(u) == v:
-                    edges.append((index[u], index[v]))
-            elif mv in quotient_adj[mu]:
-                edges.append((index[u], index[v]))
-    wg = build_graph(len(vertices), edges)
+    # a witness vertex sees every witness vertex of the modules adjacent to
+    # its own in the quotient, and its retained partner
+    members: dict[int, list[int]] = {}
+    for i, v in enumerate(vertices):
+        members.setdefault(module_of[v], []).append(i)
+    rows: list[tuple[int, ...]] = [()] * len(vertices)
+    for mod, ids in members.items():
+        across = sorted([i for q in quotient.adj[mod] if q in members
+                         for i in members[q]])
+        for i in ids:
+            p = index.get(fm_partner.get(vertices[i]))
+            rows[i] = tuple(across if p is None else sorted(across + [p]))
+    wg = Graph.from_rows(rows)
     wmate = [None] * len(vertices)
     for u, v in fprime:
         wmate[index[u]] = index[v]
         wmate[index[v]] = index[u]
     if COLLECT_WITNESS_STATS:
-        qedges = sum(len(s) for s in quotient_adj) // 2
-        WITNESS_STATS.append((len(vertices), qedges))
-    return WitnessGraph(vertices=vertices, graph=wg,
-                        matching=Matching(wmate), back=vertices)
+        WITNESS_STATS.append((len(vertices), quotient.m))
+    return WitnessGraph(vertices=vertices, graph=wg, matching=Matching(wmate))
 
 
 def _module_interior_edges(module: list[int], fm_partner: dict[int, int]):
@@ -222,7 +218,7 @@ def _module_interior_edges(module: list[int], fm_partner: dict[int, int]):
             yield (u, v)
 
 
-def _witness_loop(modules: list[list[int]], quotient_adj: list[set[int]],
+def _witness_loop(modules: list[list[int]], quotient: Graph,
                   mate: list, audit: bool = False) -> None:
     """Augment through witness subgraphs until the matching is maximum."""
     fm_partner: dict[int, int] = {}
@@ -240,23 +236,17 @@ def _witness_loop(modules: list[list[int]], quotient_adj: list[set[int]],
         rounds += 1
         if rounds > limit:
             raise GraphError("witness loop failed to terminate")
-        wg = build_witness(modules, quotient_adj, fm_partner, mate)
+        wg = build_witness(modules, quotient, fm_partner, mate)
         path = find_augmenting_path(wg.graph, wg.matching)
         if path is None:
             return
-        orig_path = [wg.back[v] for v in path]
-        _apply_augment(mate, orig_path, book)
+        path = [wg.vertices[v] for v in path]
+        if audit:
+            book.before_augment(None, path)
+        for i in range(0, len(path) - 1, 2):
+            mate[path[i]], mate[path[i + 1]] = path[i + 1], path[i]
         if audit:
             book.audit(mate)
-
-
-def _apply_augment(mate: list, path: list[int], book=None) -> None:
-    if book is not None:
-        book.before_augment(None, path)
-    for i in range(0, len(path) - 1, 2):
-        u, v = path[i], path[i + 1]
-        mate[u] = v
-        mate[v] = u
 
 
 # -------------------------------------------------------------------------
@@ -276,25 +266,42 @@ def _max_matching(g: Graph, md: MDNode | None, audit: bool,
     list is a children-first walk with no recursion.  Sibling subtrees
     cover disjoint vertex sets and a node reads and writes the mates of its
     own vertices only, so the order among siblings leaves the matching
-    unchanged.  With ``by_class`` a prime node first tries the procedure of
-    its few-P4 quotient class.
+    unchanged.  A parallel node has nothing to add.  A prime node runs the
+    witness loop over its quotient; with ``by_class`` it first tries the
+    procedure of its few-P4 quotient class.
+
+    A series node joins its children one at a time with ``match_join``
+    (Yu and Yang, IPL 1993), which needs no augmenting path.  Let M1 and
+    M2 be maximum matchings of the two sides of a complete join, of n1
+    and n2 vertices.  After MATCH only one side, say side 1, has unmatched
+    vertices, and each SPLIT uses two of them and one M2 edge.  SPLIT
+    stops in one of two ways.  Either at most one vertex is left
+    unmatched, and the matching is maximum.  Or every vertex of side 2 is
+    matched across, M1 is untouched, and the size is n2 + |M1|.  No
+    matching of the join is larger: with c <= n2 crossing edges it has at
+    most |M1| edges inside side 1 and (n2 - c)/2 inside side 2, so at most
+    (n2 + c)/2 + |M1| <= n2 + |M1| edges.  ``match_join`` runs
+    ``split_and_match`` once from each side.  If side 1 is its first
+    argument, the first call does all of the above and the second finds no
+    unmatched vertex on side 2.  If side 1 is its second argument, the
+    first call only MATCHes, so the M2 edges that the second call splits
+    are intact.  The joined sides then carry a maximum matching of their
+    union, which is what the next join needs.
     """
     if md is None:
         md = modular_decomposition(g)
     mate: list = [None] * g.n
     for node in reversed(list(md.iter_nodes())):
         if node.kind == SERIES:
-            modules = [list(c.vertices) for c in node.children]
-            acc = modules[0]
-            for nxt in modules[1:]:
-                _witness_loop([acc, nxt], [{1}, {0}], mate, audit)
-                acc = acc + nxt
+            acc = list(node.children[0].vertices)
+            for child in node.children[1:]:
+                nxt = list(child.vertices)
+                match_join(g, mate, acc, nxt)
+                acc += nxt
         elif node.kind == PRIME and not (
                 by_class and _solve_prime_by_class(g, node, mate, audit)):
             modules = [list(c.vertices) for c in node.children]
-            quotient_adj = [set(node.quotient.adj[i])
-                            for i in range(node.quotient.n)]
-            _witness_loop(modules, quotient_adj, mate, audit)
+            _witness_loop(modules, node.quotient, mate, audit)
     out = Matching(mate)
     out.validate(g)
     return out
@@ -571,13 +578,6 @@ def _match_qk(g: Graph, node: MDNode, witness: dict, mate: list,
 
     def mod_of(name: str) -> list[int]:
         return mods.get(name, [])
-
-    def index_vertices(min_index: int) -> set[int]:
-        out = set()
-        for name, mod in mods.items():
-            if int(name[1:]) >= min_index:
-                out.update(mod)
-        return out
 
     alive = set(v for mod in mods.values() for v in mod)
     joins: list[tuple[list[list[int]], set[int]]] = []

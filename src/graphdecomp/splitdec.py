@@ -7,7 +7,10 @@ or prime (splitless).  Components are linked by marker-vertex pairs; undoing
 every simple decomposition (joining the two marker neighborhoods) restores
 the original graph, which is how the tree is certified here.
 
-This module alone writes the tree format.  Every builder, whether
+Each component is a ``Graph`` over its slots, as in the graph-labelled
+trees of Gioan, Paul, Tedder and Corneil (Algorithmica 2014), so ecc, hyp
+and bc read it with the same primitives as any other graph.  This module
+alone writes the tree format.  Every builder, whether
 ``split_decomposition``, the kernel trees ``split_tree_from_nd`` and
 ``split_tree_from_modular``, or a generator, appends components with
 ``SplitTree.add`` and ends with ``SplitTree.validate``, the one place a tree
@@ -35,9 +38,7 @@ search is complete: it returns None only on prime graphs.
 from __future__ import annotations
 
 from array import array
-from collections import deque
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import NamedTuple
 
 from . import modular
@@ -73,33 +74,23 @@ def marker_edge(label: int) -> int:
     return (-label - 1) // 2
 
 
+def _degenerate_graph(kind: str, size: int) -> Graph:
+    """The complete graph, or the star centred at slot 0, on ``size`` slots."""
+    if kind == COMPLETE:
+        return Graph.from_rows([tuple(range(i)) + tuple(range(i + 1, size))
+                                for i in range(size)])
+    return Graph.from_rows([tuple(range(1, size))] + [(0,)] * (size - 1))
+
+
 @dataclass
 class SplitComponent:
     labels: list[int]            # global labels; >= 0 real vertex, < 0 marker
-    adj: list[set[int]]          # local indices
+    graph: Graph                 # over the slots: vertex i is labels[i]
     kind: str = ""
-    center: int = -1             # star center (local index), else -1
+    center: int = -1             # star center (slot), else -1
 
     def classify(self) -> None:
-        self.kind, self.center = _degree_kind([len(a) for a in self.adj])
-
-    def local_graph(self) -> Graph:
-        rows = [tuple(sorted(a)) for a in self.adj]
-        m = sum(len(r) for r in rows) // 2
-        return Graph(len(self.labels), rows, m)
-
-    def distances_from(self, source: int) -> list[int]:
-        """Hop distances from one slot inside the component (BFS)."""
-        dist = [-1] * len(self.labels)
-        dist[source] = 0
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            for w in self.adj[u]:
-                if dist[w] == -1:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        return dist
+        self.kind, self.center = _degree_kind([len(r) for r in self.graph.adj])
 
 
 class Rooting(NamedTuple):
@@ -130,31 +121,31 @@ class SplitTree:
     # set by validate(), cleared by add()
     rooting: Rooting | None = field(default=None, init=False, repr=False,
                                     compare=False)
+    # the complete and star graphs that add() hands out, by (kind, size)
+    _shapes: dict[tuple[str, int], Graph] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def add(self, labels: list[int], kind: str | None = None,
-            adj: list[set[int]] | None = None,
+            graph: Graph | None = None,
             parent: tuple[int, int] | None = None, up: int = 0) -> int:
         """Append a component and return its index.
 
         A COMPLETE or STAR ``kind`` (a star's centre at slot 0) gets its
-        edges written here; otherwise ``adj`` gives them and the degrees
-        give the kind.  With ``parent = (component, slot)``, slot ``up`` of
-        the new component and that slot become the marker pair of a new
-        tree edge.  The labels list is kept, not copied, so a builder may
-        fill in real vertices afterwards.
+        graph written here, one per kind and size, shared by the tree's
+        components of that shape; otherwise ``graph`` is the component,
+        over its slots, and its degrees give the kind.  With ``parent = (component,
+        slot)``, slot ``up`` of the new component and that slot become the
+        marker pair of a new tree edge.  The labels list is kept, not
+        copied, so a builder may fill in real vertices afterwards.
         """
         if kind is None:
-            comp = SplitComponent(labels, adj)
+            comp = SplitComponent(labels, graph)
             comp.classify()
         else:
-            size = len(labels)
-            adj = [set() for _ in range(size)]
-            pairs = (combinations(range(size), 2) if kind == COMPLETE
-                     else ((0, b) for b in range(1, size)))
-            for a, b in pairs:
-                adj[a].add(b)
-                adj[b].add(a)
-            comp = SplitComponent(labels, adj, kind,
+            shape = (kind, len(labels))
+            if shape not in self._shapes:
+                self._shapes[shape] = _degenerate_graph(*shape)
+            comp = SplitComponent(labels, self._shapes[shape], kind,
                                   0 if kind == STAR else -1)
         ci = len(self.components)
         self.components.append(comp)
@@ -188,7 +179,16 @@ class SplitTree:
                 raise GraphError("tree edge endpoint is not a marker")
             if not is_marker(self.components[cb].labels[lb]):
                 raise GraphError("tree edge endpoint is not a marker")
-        self.rooting = self._root()
+        rooting = self._root()
+        # every marker slot is the endpoint of exactly one tree edge
+        ends = {(c, s) for ca, la, cb, lb in self.tree_edges
+                for c, s in ((ca, la), (cb, lb))}
+        markers = {(c, s) for c, comp in enumerate(self.components)
+                   for s, lab in enumerate(comp.labels) if is_marker(lab)}
+        if len(ends) != 2 * len(self.tree_edges) or ends != markers:
+            raise GraphError("marker slots are not the tree-edge endpoints, "
+                             "each named once")
+        self.rooting = rooting
 
     def _root(self) -> Rooting:
         """Depth-first rooting of every tree of the forest, lowest first."""
@@ -301,7 +301,7 @@ class SplitTree:
             adj.setdefault(b, set()).add(a)
 
         for comp in self.components:
-            for i, row in enumerate(comp.adj):
+            for i, row in enumerate(comp.graph.adj):
                 for j in row:
                     if i < j:
                         link(comp.labels[i], comp.labels[j])
@@ -340,8 +340,8 @@ class SplitTree:
                     "labels": list(comp.labels),
                     "edges": sorted((min(comp.labels[i], comp.labels[j]),
                                      max(comp.labels[i], comp.labels[j]))
-                                    for i in range(len(comp.labels))
-                                    for j in comp.adj[i] if i < j),
+                                    for i, row in enumerate(comp.graph.adj)
+                                    for j in row if i < j),
                 }
                 for comp in self.components
             ],
@@ -366,7 +366,7 @@ def neighbor_sums(comp: SplitComponent, vals: list, targets: list[int]) -> list:
     are skipped, so slots that carry 0 cost no arithmetic.
     """
     if comp.kind == PRIME:
-        adj = comp.adj
+        adj = comp.graph.adj
         return [sum(vals[s] for s in adj[t] if vals[s]) for t in targets]
     total = sum(v for v in vals if v)
     if comp.kind == STAR:
@@ -615,7 +615,8 @@ def split_decomposition(g: Graph) -> SplitTree:
         kind, _ = _degree_kind([m.bit_count() for m in masks])
         side = _find_split(masks, n) if kind == PRIME else None
         if side is None:
-            st.add(labels, adj=[set(mask_vertices(m)) for m in masks])
+            rows = [tuple(mask_vertices(m)) for m in masks]
+            st.add(labels, graph=Graph.from_rows(rows))
             continue
         eid = next_edge
         next_edge += 1
@@ -698,31 +699,28 @@ def _merge_degenerates(components: list[SplitComponent]) -> None:
 
 def _contract_pair(a: SplitComponent, la: int,
                    b: SplitComponent, lb: int) -> SplitComponent:
-    na = a.adj[la]
-    nb = b.adj[lb]
-    keep_a = [i for i in range(len(a.labels)) if i != la]
-    keep_b = [i for i in range(len(b.labels)) if i != lb]
-    labels = [a.labels[i] for i in keep_a] + [b.labels[i] for i in keep_b]
-    pos: dict[tuple[int, int], int] = {}
-    for new, i in enumerate(keep_a):
-        pos[(0, i)] = new
-    off = len(keep_a)
-    for new, i in enumerate(keep_b):
-        pos[(1, i)] = off + new
-    adj: list[set[int]] = [set() for _ in labels]
-    for i in keep_a:
-        for j in a.adj[i]:
-            if j != la:
-                adj[pos[(0, i)]].add(pos[(0, j)])
-    for i in keep_b:
-        for j in b.adj[i]:
-            if j != lb:
-                adj[pos[(1, i)]].add(pos[(1, j)])
-    for i in na:
-        for j in nb:
-            adj[pos[(0, i)]].add(pos[(1, j)])
-            adj[pos[(1, j)]].add(pos[(0, i)])
-    return SplitComponent(labels=labels, adj=adj)
+    """Undo the split between slot la of a and slot lb of b.
+
+    The slots of a come first, then those of b, each in their order and
+    without the marker.  Slot numbers only grow, and b's follow a's, so
+    every row is written sorted.
+    """
+    off = len(a.labels) - 1
+    pos_a = [i - (i > la) for i in range(len(a.labels))]
+    pos_b = [off + j - (j > lb) for j in range(len(b.labels))]
+    na, nb = a.graph.adj[la], b.graph.adj[lb]
+    across_a, across_b = set(na), set(nb)
+    to_b = [pos_b[j] for j in nb]
+    to_a = [pos_a[i] for i in na]
+    rows = [tuple([pos_a[j] for j in row if j != la]
+                  + (to_b if i in across_a else []))
+            for i, row in enumerate(a.graph.adj) if i != la]
+    rows += [tuple((to_a if j in across_b else [])
+                   + [pos_b[k] for k in row if k != lb])
+             for j, row in enumerate(b.graph.adj) if j != lb]
+    labels = ([lab for i, lab in enumerate(a.labels) if i != la]
+              + [lab for j, lab in enumerate(b.labels) if j != lb])
+    return SplitComponent(labels, Graph.from_rows(rows))
 
 
 # -------------------------------------------------------------------------
@@ -734,7 +732,7 @@ def split_tree_from_nd(g: Graph, ndp: modular.NDPartition) -> SplitTree:
     >= 2 hung off the class's slot (the class's marker at slot 0)."""
     st = SplitTree(n=g.n)
     st.add([cls[0] if len(cls) == 1 else 0 for cls in ndp.classes],
-           adj=[set(row) for row in ndp.quotient.adj])
+           graph=ndp.quotient)
     for i, cls in enumerate(ndp.classes):
         if len(cls) > 1:
             kind = COMPLETE if ndp.tags[i] == modular.TRUE_TWINS else STAR
@@ -766,15 +764,12 @@ def split_tree_from_modular(g: Graph, md: modular.MDNode) -> SplitTree:
         # an internal child's slot gets its marker when the child is added
         labels = [0] * off + [c.vertex for c in node.children]
         if node.kind == modular.PRIME:
-            adj: list[set[int]] = [set() for _ in labels]
-            for a, b in node.quotient.edges():
-                adj[a + off].add(b + off)
-                adj[b + off].add(a + off)
+            graph = node.quotient
             if off:
-                adj[0].update(range(1, len(labels)))
-                for a in range(1, len(labels)):
-                    adj[a].add(0)
-            ci = st.add(labels, adj=adj, parent=parent)
+                graph = Graph.from_rows([tuple(range(1, len(labels)))]
+                                        + [(0, *(b + 1 for b in row))
+                                           for row in graph.adj])
+            ci = st.add(labels, graph=graph, parent=parent)
         else:
             # a series node is a clique; below the root a parallel node is
             # a star around the marker

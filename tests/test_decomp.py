@@ -222,7 +222,9 @@ def test_partial_split_tree_from_modular(rng):
 def test_nd_split_tree(rng):
     for _ in range(40):
         g = connected_er(rng, rng.randint(2, 14))
-        st = split_tree_from_nd(g, nd_partition(g))
+        ndp = nd_partition(g)
+        st = split_tree_from_nd(g, ndp)
+        assert st.components[0].graph is ndp.quotient
         assert st.recompose() == g
 
 
@@ -231,6 +233,14 @@ def test_validate_rejects_tree_edges_that_close_a_cycle():
     assert st.tree_edges
     st.tree_edges.append(st.tree_edges[0])
     with pytest.raises(GraphError, match="close a cycle"):
+        st.validate()
+
+
+def test_validate_rejects_a_marker_no_tree_edge_names():
+    # the stray marker would count as a fourth vertex in every reroot
+    st = splitdec.SplitTree(n=3)
+    st.add([0, 1, 2, -7], splitdec.STAR)
+    with pytest.raises(GraphError, match="marker slots"):
         st.validate()
 
 

@@ -140,6 +140,20 @@ def test_hyp_qq3_on_a_deep_modular_chain():
     assert hyperbolicity_qq3(g, alternating_chain(1100)) == Half(1)
 
 
+def test_hyp_prime_component_above_the_brute_cap():
+    # past 44 vertices component_delta tries its block-graph and
+    # diameter-2 shortcuts before the four-point scan
+    for g, order in ((cycle(50), 50), (cycle(48).complement(), 48)):
+        st = split_decomposition(g)
+        assert st.prime_orders() == [order]
+        want = four_point_delta(g)
+        assert hyperbolicity_split(g, st) == want
+        assert hyperbolicity_nd(g, nd_partition(g)) == want
+        assert hyperbolicity_qq3(g, modular_decomposition(g)) == want
+    assert four_point_delta(cycle(50)) == Half.of_int(12)
+    assert four_point_delta(cycle(48).complement()) == Half.of_int(1)
+
+
 def test_hyp_all_methods_equal_oracle(rng):
     for g in mixed_connected_instances(rng, 50, 26):
         if g.n > 30:

@@ -128,7 +128,6 @@ def test_witness_shape_small():
     g = substitute(c5, parts)
     md = modular_decomposition(g)
     modules = [list(c.vertices) for c in md.children]
-    quotient_adj = [set(md.quotient.adj[i]) for i in range(5)]
     mate = [None] * g.n
     fm = {}
     for mod in modules:
@@ -136,7 +135,7 @@ def test_witness_shape_small():
         for u, v in oracle_maximum_matching(sub).edges():
             mate[back[u]], mate[back[v]] = back[v], back[u]
             fm[back[u]], fm[back[v]] = back[v], back[u]
-    wg = build_witness(modules, quotient_adj, fm, mate)
+    wg = build_witness(modules, md.quotient, fm, mate)
     per_module = {}
     for v in wg.vertices:
         owner = next(i for i, mod in enumerate(modules) if v in mod)
@@ -154,7 +153,7 @@ def test_witness_cross_edge_cap():
         mate[t] = 6 + t
         mate[6 + t] = t
     modules = [list(range(6)), list(range(6, 12))]
-    wg = build_witness(modules, [{1}, {0}], {}, mate)
+    wg = build_witness(modules, complete(2), {}, mate)
     assert wg.matching.cardinality() == 4
     assert len(wg.vertices) == 8
 
@@ -170,7 +169,6 @@ def test_witness_equivalence_with_oracle(rng):
         if md.kind != "prime":
             continue
         modules = [list(c.vertices) for c in md.children]
-        quotient_adj = [set(md.quotient.adj[i]) for i in range(md.quotient.n)]
         mate = [None] * g.n
         fm = {}
         for mod in modules:
@@ -182,7 +180,7 @@ def test_witness_equivalence_with_oracle(rng):
             g, modules,
             [[(u, v) for u, v in _pairs(fm, mod)] for mod in modules])
         from graphdecomp import find_augmenting_path
-        wg = build_witness(modules, quotient_adj, fm, mate)
+        wg = build_witness(modules, md.quotient, fm, mate)
         path_w = find_augmenting_path(wg.graph, wg.matching)
         best = oracle_maximum_matching(reduced).cardinality()
         current = Matching(mate).cardinality()
@@ -222,6 +220,27 @@ def test_witness_loop_iteration_bound(rng, monkeypatch):
     got = max_matching_modular(g)
     assert got.cardinality() == 5
     assert len(calls) <= g.n // 2 + len(list(modular_decomposition(g).iter_nodes()))
+
+
+def test_series_and_parallel_nodes_need_no_augmenting_path(rng,
+                                                           monkeypatch):
+    calls = []
+    real = matching_mod.find_augmenting_path
+
+    def counting(g, m):
+        calls.append(1)
+        return real(g, m)
+
+    monkeypatch.setattr(matching_mod, "find_augmenting_path", counting)
+    for _ in range(40):
+        g = random_instance("cograph", rng.randint(2, 60), rng,
+                            connected=False).graph
+        want = oracle_maximum_matching(g).cardinality()
+        for solve in (max_matching_modular, max_matching_qq3):
+            got = solve(g)
+            got.validate(g)
+            assert got.cardinality() == want
+    assert not calls
 
 
 def test_max_matching_modular_matches_oracle(rng):
