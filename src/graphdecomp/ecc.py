@@ -79,28 +79,20 @@ def _top2(indices, e) -> tuple[int, int]:
 # modular kernelization
 
 
-def _modular_scaffold(g: Graph, md: MDNode):
-    """(modules, quotient, per-vertex module index) for the root partition."""
-    modules = [list(c.vertices) for c in md.children]
+def _combine_modular(g: Graph, md: MDNode, quotient_ecc) -> list[Distance]:
+    """Eccentricities from those of the modules in the root quotient.
+
+    A series quotient is complete, so every module has eccentricity 1 there
+    and no quotient graph is needed; a prime root's quotient goes to
+    ``quotient_ecc``.
+    """
+    modules = [c.vertices for c in md.children]
     if md.kind == SERIES:
-        from .graph import build_graph
-        k = len(modules)
-        quotient = build_graph(k, [(i, j) for i in range(k)
-                                   for j in range(i + 1, k)])
+        ecc_q = [1] * len(modules)
     elif md.kind == PRIME:
-        quotient = md.quotient
+        ecc_q = quotient_ecc(md.quotient)
     else:
         raise DisconnectedGraphError("parallel root means a disconnected graph")
-    owner = [0] * g.n
-    for i, mod in enumerate(modules):
-        for v in mod:
-            owner[v] = i
-    return modules, quotient, owner
-
-
-def _combine_modular(g: Graph, md: MDNode, quotient_ecc) -> list[Distance]:
-    modules, quotient, owner = _modular_scaffold(g, md)
-    ecc_q = quotient_ecc(quotient)
     out: list[Distance] = [0] * g.n
     masks = g.masks()
     for i, mod in enumerate(modules):
@@ -136,8 +128,6 @@ def eccentricities_qq3(g: Graph, md: MDNode) -> list[Distance]:
 
 def _quotient_ecc_by_class(quotient: Graph) -> list[int]:
     k = quotient.n
-    if all(quotient.degree(v) == k - 1 for v in range(k)):
-        return [1] * k
     cls = classify_prime_graph(quotient, check_prime=False)
     ecc = [2] * k
     if cls.tag == THIN_SPIDER:

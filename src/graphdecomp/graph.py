@@ -218,7 +218,10 @@ def substitute(quotient: Graph, parts: Sequence[Graph]) -> Graph:
 #   n m
 #   u v          (m lines, 0-based)
 #
-# Writers emit each edge once with u < v, sorted lexicographically.
+# Lines end at LF; space, tab and CR separate fields.  A line whose first
+# field starts with '#' is a comment and may hold any characters; blank
+# lines are skipped.  Every other line holds exactly two fields of ASCII
+# digits.  Writers emit each edge once with u < v, sorted lexicographically.
 
 def write_edgelist(g: Graph) -> str:
     lines = [f"{g.n} {g.m}"]
@@ -227,24 +230,81 @@ def write_edgelist(g: Graph) -> str:
 
 
 def read_edgelist(text: str) -> Graph:
-    header: tuple[int, int] | None = None
-    edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if header is None:
-            if len(fields) != 2:
-                raise GraphError(f"line {lineno}: expected 'n m' header")
-            header = (int(fields[0]), int(fields[1]))
-            continue
-        if len(fields) != 2:
-            raise GraphError(f"line {lineno}: expected 'u v'")
-        edges.append((int(fields[0]), int(fields[1])))
-    if header is None:
+    """The graph of an edge-list text; duplicate edges are collapsed.
+
+    The text is tokenized, checked and parsed as byte arrays: a few array
+    passes and one sort, with no Python loop over lines or edges.  Errors
+    name the first offending line, or the first offending edge.
+    """
+    import numpy as np
+
+    data = text.encode("utf-8", "surrogatepass")
+    b = np.frombuffer(data, dtype=np.uint8)
+    lf = b == 10
+    blank = lf | (b == 32) | (b == 9) | (b == 13)
+    # fields are the maximal non-blank runs: the flips of the padded mask
+    # alternate between field starts and field ends
+    inside = np.zeros(len(b) + 2, dtype=bool)
+    np.logical_not(blank, out=inside[1:-1])
+    flips = np.flatnonzero(inside[1:] != inside[:-1])
+    starts, ends = flips[0::2], flips[1::2]
+    # among the LFs and field starts in text order, the place of field i
+    # less i is the number of LFs before it, its 0-based line
+    events = lf.copy()
+    events[starts] = True
+    lines = (np.flatnonzero(b[np.flatnonzero(events)] != 10)
+             - np.arange(len(starts)))
+    bad = []                                   # 0-based lines in error
+    nondigit = np.flatnonzero((b - 48 > 9) & ~blank)
+    if len(nondigit):
+        # a comment line is one whose first field starts with '#'
+        lead = np.append(True, lines[1:] != lines[:-1])
+        comment = np.zeros(int(lines[-1]) + 1, dtype=bool)
+        comment[lines[lead & (b[starts] == 35)]] = True
+        at = lines[np.searchsorted(starts, nondigit, side="right") - 1]
+        bad.extend(at[~comment[at]][:1].tolist())
+        # blank the comment fields out of the text the parser reads
+        drop = comment[lines]
+        cover = np.zeros(len(b) + 1, dtype=np.int8)
+        cover[starts[drop]] = 1
+        cover[ends[drop]] = -1
+        buf = b.copy()
+        buf[np.cumsum(cover[:-1], dtype=np.int8).view(bool)] = 32
+        data = buf.tobytes()
+        starts, ends, lines = starts[~drop], ends[~drop], lines[~drop]
+    if not len(starts):
         raise GraphError("empty edge-list file")
-    n, m = header
-    if len(edges) != m:
-        raise GraphError(f"header promises {m} edges, file has {len(edges)}")
-    return build_graph(n, edges)
+    first = np.flatnonzero(np.append(True, lines[1:] != lines[:-1]))
+    odd = np.flatnonzero(np.diff(first, append=len(lines)) != 2)
+    bad.extend(lines[first[odd[:1]]].tolist())
+    if bad:
+        line = min(bad)
+        if line == lines[0]:
+            raise GraphError(f"line {line + 1}: expected 'n m' header")
+        raise GraphError(f"line {line + 1}: expected 'u v'")
+
+    def field(i: int) -> int:
+        return int(data[starts[i]:ends[i]])
+
+    n, m = field(0), field(1)
+    k = len(starts) // 2 - 1
+    if k != m:
+        raise GraphError(f"header promises {m} edges, file has {k}")
+    vals = np.fromstring(data, dtype=np.int64, sep=" ")
+    u, v = vals[2::2], vals[3::2]
+    wrong = np.flatnonzero((u >= n) | (v >= n) | (u == v))
+    if len(wrong):
+        i = int(wrong[0])
+        x, y = field(2 * i + 2), field(2 * i + 3)
+        if x >= n or y >= n:
+            raise GraphError(
+                f"edge #{i} ({x},{y}) has an endpoint out of range 0..{n - 1}")
+        raise GraphError(f"edge #{i} is a self-loop at {x}")
+    # key u*n + v for both directions: sorted, the keys of row u are a run
+    keys = np.concatenate((u * n + v, v * n + u))
+    keys.sort()
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    heads = np.searchsorted(keys, np.arange(n + 1) * n).tolist()
+    # rows share one int object per vertex, not one per adjacency entry
+    nbrs = tuple(np.arange(n, dtype=object)[keys % max(n, 1)].tolist())
+    return Graph.from_rows([nbrs[a:z] for a, z in zip(heads, heads[1:])])

@@ -153,6 +153,12 @@ def test_structural_error_exit_code(tmp_path):
     assert "error:" in out.stderr
 
 
+def test_edgelist_error_names_its_line():
+    out = run_cli(["ecc", "-"], stdin_text="3 1\n0 x\n")
+    assert out.returncode == 1
+    assert out.stderr == "error: line 2: expected 'u v'\n"
+
+
 def test_disconnected_dispatch_per_component(tmp_path):
     g = build_graph(7, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6), (6, 3)])
     f = tmp_path / "two.el"

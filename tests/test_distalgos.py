@@ -16,7 +16,9 @@ from graphdecomp import (DisconnectedGraphError, FamilySpec, build_graph,
                          random_instance, split_decomposition, split_width,
                          substitute)
 from graphdecomp.distances import Half
+from graphdecomp.graph import bfs_distances
 from graphdecomp.hyp import four_point_delta
+from graphdecomp.modular import SERIES
 from graphdecomp.splitdec import COMPLETE, STAR, SplitTree
 
 from conftest import (ALL_FAMILIES, alternating_chain, alternating_chain_graph,
@@ -57,6 +59,27 @@ def test_ecc_modular_cograph_bound(rng):
 def test_ecc_complete_graph():
     g = complete(7)
     assert eccentricities_modular(g, modular_decomposition(g)) == [1] * 7
+
+
+def test_ecc_series_root_runs_no_bfs(rng, monkeypatch):
+    import graphdecomp.ecc as ecc_mod
+    calls = []
+
+    def counted(g, source):
+        calls.append(source)
+        return bfs_distances(g, source)
+
+    monkeypatch.setattr(ecc_mod, "bfs_distances", counted)
+    for n in (2, 12, 40):
+        # the join of two cographs has a series root
+        parts = [random_instance("cograph", k, rng).graph for k in (n, 5)]
+        g = substitute(complete(2), parts)
+        md = modular_decomposition(g)
+        assert md.kind == SERIES
+        want = oracle_eccentricities(g)
+        assert eccentricities_modular(g, md) == want
+        assert eccentricities_qq3(g, md) == want
+    assert calls == []
 
 
 def test_ecc_rejects_disconnected():

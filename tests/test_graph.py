@@ -98,3 +98,72 @@ def test_edgelist_format_details():
     assert write_edgelist(g) == "3 2\n0 1\n1 2\n"
     with pytest.raises(GraphError, match="promises"):
         read_edgelist("2 5\n0 1\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("# only a comment\n3 1 2\n0 1\n", "line 2: expected 'n m' header"),
+    ("\n4\n0 1\n", "line 2: expected 'n m' header"),
+    ("x 1\n0 1\n", "line 1: expected 'n m' header"),
+    ("3 1\n0\n", "line 2: expected 'u v'"),
+    ("3 2\n0 1\n\n# c\n0 1 2\n", "line 5: expected 'u v'"),
+    ("3 1\n0 x\n", "line 2: expected 'u v'"),
+    ("3 1\n+1 2\n", "line 2: expected 'u v'"),
+    ("3 1\n1_0 2\n", "line 2: expected 'u v'"),
+    ("3 1\n-1 2\n", "line 2: expected 'u v'"),
+    ("3 1\n١ 2\n", "line 2: expected 'u v'"),
+    ("3 1\n0 1 # trailing\n", "line 2: expected 'u v'"),
+    ("3 2\n0 1\n1 2 0\n2 x\n", "line 3: expected 'u v'"),
+    ("3 2\n0 1\n1 2\n2 0\n", "header promises 2 edges, file has 3"),
+    ("3 2\n0 1\n", "header promises 2 edges, file has 1"),
+    ("3 2\n0 1\n1 3\n", r"edge #1 \(1,3\) has an endpoint out of range 0\.\.2"),
+    ("3 1\n0 123456789012345678901234567890\n",
+     r"edge #0 \(0,123456789012345678901234567890\) has an endpoint out"),
+    ("3 2\n0 1\n2 2\n", "edge #1 is a self-loop at 2"),
+    # a missing header: the first edge line is read as the header
+    ("0 1\n1 2\n", r"edge #0 \(1,2\) has an endpoint out of range 0\.\.-1"),
+    ("", "empty edge-list file"),
+    ("# one\n\n  \t\n# two\n", "empty edge-list file"),
+])
+def test_edgelist_errors(text, message):
+    with pytest.raises(GraphError, match=f"^{message}"):
+        read_edgelist(text)
+
+
+@pytest.mark.parametrize("text, n, edges", [
+    ("# héadér ☃\n3 2\n\n# mid 9 9\n0 1\n\n1 2\n", 3,
+     [(0, 1), (1, 2)]),
+    ("3 2\r\n0 1\r\n1 2\r\n", 3, [(0, 1), (1, 2)]),
+    ("3\t2\n\t0\t1 \n 1  2\t", 3, [(0, 1), (1, 2)]),
+    ("3 2\n0 1\n1 2", 3, [(0, 1), (1, 2)]),
+    ("0 0\n", 0, []),
+    ("5 1\n3 1\n", 5, [(1, 3)]),
+    ("4 4\n0 1\n1 0\n0 1\n3 2\n", 4, [(0, 1), (2, 3)]),
+    ("3 1\n000 002\n", 3, [(0, 2)]),
+    # undecodable input bytes arrive as lone surrogates (surrogateescape)
+    ("# caf\udce9\n2 1\n0 1\n", 2, [(0, 1)]),
+])
+def test_edgelist_accepted_shapes(text, n, edges):
+    assert read_edgelist(text) == build_graph(n, edges)
+
+
+@st.composite
+def edgelist_texts(draw):
+    n = draw(st.integers(min_value=0, max_value=10))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=25)) if pairs else []
+    filler = st.sampled_from(["", "  ", "\t", "#", "# 1 2", "  # é x"])
+    sep = st.sampled_from([" ", "\t", "  "])
+    end = st.sampled_from(["\n", "\r\n"])
+    lines = [draw(filler) for _ in range(draw(st.integers(0, 2)))]
+    lines.append(f"{n}{draw(sep)}{len(edges)}")
+    for u, v in edges:
+        lines.extend(draw(filler) for _ in range(draw(st.integers(0, 1))))
+        lines.append(f"{draw(sep)}{u}{draw(sep)}{v}")
+    return "".join(line + draw(end) for line in lines), n, edges
+
+
+@given(edgelist_texts())
+@settings(max_examples=80, deadline=None)
+def test_edgelist_reads_like_build_graph(case):
+    text, n, edges = case
+    assert read_edgelist(text) == build_graph(n, edges)
