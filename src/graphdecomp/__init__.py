@@ -24,11 +24,11 @@ from .kexpr import (KExpression, LabeledGraph, RedundantExpressionError,
                     kexpr_from_modular, kexpr_vertex_order, max_label,
                     parse_kexpr, random_irredundant_kexpr, serialize_kexpr,
                     verify_irredundant)
-from .matching import (ModuleMatchBook, StructuralError, WitnessGraph,
-                       build_witness, match_disc, match_spider,
-                       max_matching_modular, max_matching_prime_ptree,
-                       max_matching_qq3, pending_module_rule,
-                       reduce_module_edges, split_and_match)
+from .matching import (StructuralError, WitnessGraph, build_witness,
+                       match_disc, match_spider, max_matching_modular,
+                       max_matching_prime_ptree, max_matching_qq3,
+                       pending_module_rule, reduce_module_edges,
+                       split_and_match)
 from .modular import (MDNode, NDPartition, is_module, modular_decomposition,
                       modular_width, nd_partition, quotient_graph)
 from .oracles import (oracle_betweenness, oracle_cycle_stats,

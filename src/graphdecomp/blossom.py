@@ -1,8 +1,8 @@
 """Maximum-cardinality matching by Edmonds' blossom algorithm.
 
 One search engine serves two purposes: the brute-force certification
-oracle, and the augmenting-path finder that the witness-subgraph loop
-calls on its small characteristic graphs.
+oracle, and the solver that the witness-subgraph loop runs on its small
+characteristic graphs from their retained matchings.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ def find_augmenting_path(g: Graph, matching: Matching) -> Optional[list[int]]:
 
 
 def augment(matching: Matching, path: Sequence[int],
-            g: Graph | None = None, book=None) -> Matching:
+            g: Graph | None = None) -> Matching:
     """Flip the matching along an augmenting path (cardinality +1)."""
     if len(path) < 2 or len(path) % 2 != 0:
         raise GraphError("augmenting path must have even vertex count >= 2")
@@ -90,8 +90,6 @@ def augment(matching: Matching, path: Sequence[int],
             if mate[u] != v:
                 raise GraphError(f"path step ({u},{v}) should be matching")
     out = matching.copy()
-    if book is not None:
-        book.before_augment(out, path)
     for i in range(0, len(path) - 1, 2):
         u, v = path[i], path[i + 1]
         out.mate[u] = v

@@ -36,7 +36,13 @@ HYP_ORACLE_CAP = 40
 
 
 def _load_graph(path: str) -> Graph:
-    text = sys.stdin.read() if path == "-" else open(path).read()
+    # comments may hold any bytes: both forms decode alike, in any locale
+    if path == "-":
+        sys.stdin.reconfigure(encoding="utf-8", errors="surrogateescape")
+        text = sys.stdin.read()
+    else:
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+            text = fh.read()
     return read_edgelist(text)
 
 

@@ -1,12 +1,14 @@
 """Maximum matching via modular decomposition and the few-P4 case analysis.
 
 The modular algorithm solves each strong module bottom-up, reduces module
-interiors to their matchings, then closes the gap with augmenting paths
-found inside a bounded witness subgraph: one representative per way an
-augmenting path can interact with a module (one internal matched edge, one
-internal non-matching edge with its incident matched edges, at most four
-matched edges per adjacent module pair, at most two unmatched vertices per
-module).  The few-P4 variant dispatches large prime quotients to closed
+interiors to their matchings, then closes the gap inside a bounded witness
+subgraph: one representative per way an augmenting path can interact with
+a module (one internal matched edge, one internal non-matching edge with
+its incident matched edges, at most four matched edges per adjacent module
+pair, at most two unmatched vertices per module).  The witness has an
+augmenting path exactly when the matching is not maximum, so each round
+solves the witness to maximum and the loop stops at the first round that
+gains nothing.  The few-P4 variant dispatches large prime quotients to closed
 forms: discs and spiders directly, spiked p-chains by cascades of the
 pending-module rule and the SPLIT/MATCH join technique.
 """
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .blossom import Matching, find_augmenting_path, maximum_matching
+from .blossom import Matching, maximum_matching
 from .classify import (DISC_COCYCLE, DISC_CYCLE, SPIKED_PK, SPIKED_PK_BAR,
                        SPIKED_QK, SPIKED_QK_BAR, THICK_SPIDER, THIN_SPIDER,
                        classify_prime_graph)
@@ -30,68 +32,6 @@ class StructuralError(GraphError):
 #: (witness order, quotient edge count) pairs; tests read the ratio bound.
 WITNESS_STATS: list[tuple[int, int]] = []
 COLLECT_WITNESS_STATS = False
-
-
-# -------------------------------------------------------------------------
-# bookkeeping
-
-
-class ModuleMatchBook:
-    """Counts of matching edges inside modules and across adjacent pairs.
-
-    Updated in time proportional to the augmenting path; ``audit`` recounts
-    from scratch and compares.
-    """
-
-    def __init__(self, module_of: dict[int, int]):
-        self.module_of = module_of
-        self.intra: dict[int, int] = {}
-        self.cross: dict[tuple[int, int], int] = {}
-
-    @classmethod
-    def fresh(cls, modules: list[list[int]], mate: list) -> "ModuleMatchBook":
-        module_of = {}
-        for i, mod in enumerate(modules):
-            for v in mod:
-                module_of[v] = i
-        book = cls(module_of)
-        for u in module_of:
-            v = mate[u]
-            if v is not None and u < v and v in module_of:
-                book._bump(u, v, +1)
-        return book
-
-    def _bump(self, u: int, v: int, delta: int) -> None:
-        a, b = self.module_of[u], self.module_of[v]
-        if a == b:
-            self.intra[a] = self.intra.get(a, 0) + delta
-        else:
-            key = (min(a, b), max(a, b))
-            self.cross[key] = self.cross.get(key, 0) + delta
-
-    def before_augment(self, matching: Matching, path) -> None:
-        scope = self.module_of
-        for i in range(1, len(path) - 1, 2):
-            u, v = path[i], path[i + 1]
-            if u in scope and v in scope:
-                self._bump(u, v, -1)
-        for i in range(0, len(path) - 1, 2):
-            u, v = path[i], path[i + 1]
-            if u in scope and v in scope:
-                self._bump(u, v, +1)
-
-    def audit(self, mate: list) -> None:
-        other = ModuleMatchBook(self.module_of)
-        for u in self.module_of:
-            v = mate[u]
-            if v is not None and u < v and v in self.module_of:
-                other._bump(u, v, +1)
-        mine_i = {k: v for k, v in self.intra.items() if v}
-        mine_c = {k: v for k, v in self.cross.items() if v}
-        theirs_i = {k: v for k, v in other.intra.items() if v}
-        theirs_c = {k: v for k, v in other.cross.items() if v}
-        if mine_i != theirs_i or mine_c != theirs_c:
-            raise GraphError("module match book out of sync with the matching")
 
 
 # -------------------------------------------------------------------------
@@ -218,9 +158,20 @@ def _module_interior_edges(module: list[int], fm_partner: dict[int, int]):
             yield (u, v)
 
 
-def _witness_loop(modules: list[list[int]], quotient: Graph,
+def _witness_loop(g: Graph, modules: list[list[int]], quotient: Graph,
                   mate: list, audit: bool = False) -> None:
-    """Augment through witness subgraphs until the matching is maximum."""
+    """Solve witness subgraphs to maximum until a witness gains nothing.
+
+    Each round matches its witness maximum from the retained matching and
+    writes the new mates back.  That is sound: a witness vertex's mate is
+    a witness vertex, every witness edge is an edge of ``g`` (quotient
+    neighbours are completely joined, partner edges are retained matching
+    edges), and the witness matching grows only by augmenting paths inside
+    the witness, each of which augments the global matching too.  A round
+    that gains nothing means the witness has no augmenting path, so by the
+    witness lemma the matching is maximum.  Every other round gains at
+    least one edge.
+    """
     fm_partner: dict[int, int] = {}
     for mod in modules:
         mod_set = set(mod)
@@ -228,8 +179,6 @@ def _witness_loop(modules: list[list[int]], quotient: Graph,
             p = mate[v]
             if p is not None and p in mod_set:
                 fm_partner[v] = p
-    # only the audit reads the book's counts
-    book = ModuleMatchBook.fresh(modules, mate) if audit else None
     rounds = 0
     limit = sum(len(m) for m in modules) + 2
     while True:
@@ -237,16 +186,19 @@ def _witness_loop(modules: list[list[int]], quotient: Graph,
         if rounds > limit:
             raise GraphError("witness loop failed to terminate")
         wg = build_witness(modules, quotient, fm_partner, mate)
-        path = find_augmenting_path(wg.graph, wg.matching)
-        if path is None:
+        best = maximum_matching(wg.graph, wg.matching)
+        gain = best.cardinality() - wg.matching.cardinality()
+        if not gain:
             return
-        path = [wg.vertices[v] for v in path]
+        before = Matching(mate).cardinality() if audit else 0
+        for i, w in enumerate(best.mate):
+            mate[wg.vertices[i]] = None if w is None else wg.vertices[w]
         if audit:
-            book.before_augment(None, path)
-        for i in range(0, len(path) - 1, 2):
-            mate[path[i]], mate[path[i + 1]] = path[i + 1], path[i]
-        if audit:
-            book.audit(mate)
+            after = Matching(mate)
+            after.validate(g)
+            if after.cardinality() != before + gain:
+                raise GraphError("witness round changed the matching by "
+                                 "other than the witness's gain")
 
 
 # -------------------------------------------------------------------------
@@ -270,7 +222,7 @@ def _max_matching(g: Graph, md: MDNode | None, audit: bool,
     witness loop over its quotient; with ``by_class`` it first tries the
     procedure of its few-P4 quotient class.
 
-    A series node joins its children one at a time with ``match_join``
+    A series node joins its children one at a time in one ``match_join``
     (Yu and Yang, IPL 1993), which needs no augmenting path.  Let M1 and
     M2 be maximum matchings of the two sides of a complete join, of n1
     and n2 vertices.  After MATCH only one side, say side 1, has unmatched
@@ -280,28 +232,25 @@ def _max_matching(g: Graph, md: MDNode | None, audit: bool,
     matched across, M1 is untouched, and the size is n2 + |M1|.  No
     matching of the join is larger: with c <= n2 crossing edges it has at
     most |M1| edges inside side 1 and (n2 - c)/2 inside side 2, so at most
-    (n2 + c)/2 + |M1| <= n2 + |M1| edges.  ``match_join`` runs
-    ``split_and_match`` once from each side.  If side 1 is its first
-    argument, the first call does all of the above and the second finds no
-    unmatched vertex on side 2.  If side 1 is its second argument, the
-    first call only MATCHes, so the M2 edges that the second call splits
-    are intact.  The joined sides then carry a maximum matching of their
-    union, which is what the next join needs.
+    (n2 + c)/2 + |M1| <= n2 + |M1| edges.  ``match_join`` runs MATCH and
+    SPLIT once from each side, the part joined so far first.  If side 1 is
+    that part, the first run does all of the above and the second finds no
+    unmatched vertex on side 2.  If side 1 is the new child, the first run
+    only MATCHes, so the M2 edges that the second run splits are intact;
+    the edges the first run made are not among them.  The joined sides
+    then carry a maximum matching of their union, which is what the next
+    join needs.
     """
     if md is None:
         md = modular_decomposition(g)
     mate: list = [None] * g.n
     for node in reversed(list(md.iter_nodes())):
         if node.kind == SERIES:
-            acc = list(node.children[0].vertices)
-            for child in node.children[1:]:
-                nxt = list(child.vertices)
-                match_join(g, mate, acc, nxt)
-                acc += nxt
+            match_join(g, mate, *(c.vertices for c in node.children))
         elif node.kind == PRIME and not (
                 by_class and _solve_prime_by_class(g, node, mate, audit)):
             modules = [list(c.vertices) for c in node.children]
-            _witness_loop(modules, node.quotient, mate, audit)
+            _witness_loop(g, modules, node.quotient, mate, audit)
     out = Matching(mate)
     out.validate(g)
     return out
@@ -343,45 +292,64 @@ def split_and_match(g: Graph, mate: list, side_m: list[int],
     completely to ``side_m`` (module neighborhood), which makes every new
     edge real.
     """
-    in_n = set(side_n)
-    unmatched_m = [v for v in sorted(side_m, reverse=True) if mate[v] is None]
-    unmatched_n = [v for v in sorted(side_n, reverse=True) if mate[v] is None]
-    internal_n = [(u, v) for u in side_n
-                  for v in (mate[u],) if v is not None and v in in_n and u < v]
+    free_m = [v for v in sorted(side_m, reverse=True) if mate[v] is None]
+    free_n = [v for v in sorted(side_n, reverse=True) if mate[v] is None]
+    return _match_then_split(mate, free_m, free_n,
+                             _inner_edges(mate, side_n), [])
+
+
+def _inner_edges(mate: list, side) -> list[tuple[int, int]]:
+    """The matched edges with both ends in ``side``."""
+    in_side = set(side)
+    return [(u, v) for u in side for v in (mate[u],)
+            if v is not None and v in in_side and u < v]
+
+
+def _match_then_split(mate: list, free_m: list[int], free_n: list[int],
+                      inner_n: list[tuple[int, int]],
+                      made: list[tuple[int, int]]) -> int:
+    """MATCH, then SPLIT, popping the stacks it is given.
+
+    ``free_m`` and ``free_n`` hold unmatched vertices of the two sides and
+    ``inner_n`` matched edges inside side n; each SPLIT pops the one edge
+    it breaks.  The new edges are pushed on ``made``.  Returns the number
+    of operations applied.
+    """
     ops = 0
     while True:
-        if unmatched_m and unmatched_n:
-            u = unmatched_m.pop()
-            v = unmatched_n.pop()
-            mate[u] = v
-            mate[v] = u
-            ops += 1
-            continue
-        if len(unmatched_m) >= 2:
-            edge = None
-            while internal_n:
-                a, b = internal_n.pop()
-                if mate[a] == b:
-                    edge = (a, b)
-                    break
-            if edge is not None:
-                u = unmatched_m.pop()
-                u2 = unmatched_m.pop()
-                a, b = edge
-                mate[u] = a
-                mate[a] = u
-                mate[u2] = b
-                mate[b] = u2
-                ops += 1
-                continue
-        return ops
+        if free_m and free_n:
+            u, v = free_m.pop(), free_n.pop()
+            mate[u], mate[v] = v, u
+            made.append((u, v))
+        elif len(free_m) >= 2 and inner_n:
+            a, b = inner_n.pop()
+            u, u2 = free_m.pop(), free_m.pop()
+            mate[u], mate[a], mate[u2], mate[b] = a, u, b, u2
+            made += ((u, a), (u2, b))
+        else:
+            return ops
+        ops += 1
 
 
-def match_join(g: Graph, mate: list, side_a: list[int],
-               side_b: list[int]) -> None:
-    """Make the matching maximum on a complete join of two solved sides."""
-    split_and_match(g, mate, side_a, side_b)
-    split_and_match(g, mate, side_b, side_a)
+def match_join(g: Graph, mate: list, *sides: list[int]) -> None:
+    """Make the matching maximum on the complete join of solved sides.
+
+    The sides are joined one at a time.  The unmatched vertices and the
+    inner matched edges of the part joined so far are stacks kept across
+    sides, so a side costs its own size plus the operations it takes.
+    """
+    free: list[int] = []
+    inner: list[tuple[int, int]] = []
+    for side in sides:
+        side_free = [v for v in side if mate[v] is None]
+        side_inner = _inner_edges(mate, side)
+        made: list[tuple[int, int]] = []
+        _match_then_split(mate, free, side_free, side_inner, made)
+        _match_then_split(mate, side_free, free, inner, made)
+        # after MATCH at most one of the two sides has unmatched vertices
+        free = free or side_free
+        inner += side_inner
+        inner += made
 
 
 def match_disc(g: Graph, cycle_order: list[int], is_cocycle: bool,

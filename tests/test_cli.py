@@ -98,6 +98,20 @@ def test_girth_from_graph_stdin():
     assert out.stdout.strip() == "7"
 
 
+def test_latin1_comment_reads_alike_from_file_and_stdin(tmp_path):
+    data = b"# caf\xe9\n" + write_edgelist(cycle(7)).encode()
+    f = tmp_path / "latin1.el"
+    f.write_bytes(data)
+    for args in (["match", "--method", "modular"],
+                 ["girth", "--method", "cw"]):
+        runs = [subprocess.run(
+            [sys.executable, "-m", "graphdecomp.cli", *args, src],
+            env=CLI_ENV, input=data, capture_output=True, timeout=300)
+            for src in (str(f), "-")]
+        assert [r.returncode for r in runs] == [0, 0], runs[0].stderr
+        assert runs[0].stdout == runs[1].stdout != b""
+
+
 def test_params_and_decompose(spider_file):
     out = run_cli(["params", spider_file])
     header, row = out.stdout.strip().splitlines()

@@ -10,7 +10,7 @@ from graphdecomp import (FamilySpec, Matching, StructuralError, build_graph,
                          modular_decomposition, oracle_maximum_matching,
                          pending_module_rule, random_instance,
                          reduce_module_edges, split_and_match, substitute)
-from graphdecomp.matching import ModuleMatchBook, match_join
+from graphdecomp.matching import match_join
 from graphdecomp.oracles import exhaustive_maximum_matching_size
 
 from conftest import (alternating_chain, alternating_chain_graph, complete,
@@ -203,35 +203,35 @@ def test_module_match_book_audit(rng):
         parts = [random_instance("cograph", rng.randint(1, 4), rng,
                                  connected=False).graph for _ in range(q.n)]
         g = substitute(q, parts)
-        got = max_matching_modular(g, audit=True)   # audits every augment
+        got = max_matching_modular(g, audit=True)   # audits every round
         assert got.cardinality() == oracle_maximum_matching(g).cardinality()
 
 
-def test_witness_loop_iteration_bound(rng, monkeypatch):
+def _count_witness_rounds(monkeypatch) -> list:
+    """Record one entry per witness round of the modular witness loop."""
     calls = []
-    real = matching_mod.find_augmenting_path
+    real = matching_mod.build_witness
 
-    def counting(g, m):
+    def counting(*args):
         calls.append(1)
-        return real(g, m)
+        return real(*args)
 
-    monkeypatch.setattr(matching_mod, "find_augmenting_path", counting)
+    monkeypatch.setattr(matching_mod, "build_witness", counting)
+    return calls
+
+
+def test_witness_loop_iteration_bound(rng, monkeypatch):
+    calls = _count_witness_rounds(monkeypatch)
     g = substitute(cycle(5), [complete(2)] * 5)
     got = max_matching_modular(g)
     assert got.cardinality() == 5
+    assert calls
     assert len(calls) <= g.n // 2 + len(list(modular_decomposition(g).iter_nodes()))
 
 
 def test_series_and_parallel_nodes_need_no_augmenting_path(rng,
                                                            monkeypatch):
-    calls = []
-    real = matching_mod.find_augmenting_path
-
-    def counting(g, m):
-        calls.append(1)
-        return real(g, m)
-
-    monkeypatch.setattr(matching_mod, "find_augmenting_path", counting)
+    calls = _count_witness_rounds(monkeypatch)
     for _ in range(40):
         g = random_instance("cograph", rng.randint(2, 60), rng,
                             connected=False).graph
@@ -241,6 +241,45 @@ def test_series_and_parallel_nodes_need_no_augmenting_path(rng,
             got.validate(g)
             assert got.cardinality() == want
     assert not calls
+
+
+def test_singleton_prime_node_takes_at_most_two_witness_rounds(rng,
+                                                               monkeypatch):
+    # with singleton modules the witness is the whole quotient: one round
+    # reaches the maximum and one finds nothing to add
+    calls = _count_witness_rounds(monkeypatch)
+    graphs = [cycle(111).complement()]
+    while len(graphs) < 16:
+        g = connected_er(rng, rng.randint(5, 40))
+        md = modular_decomposition(g)
+        if md.kind == "prime" and all(len(c.vertices) == 1
+                                      for c in md.children):
+            graphs.append(g)
+    for g in graphs:
+        calls.clear()
+        got = max_matching_modular(g)
+        got.validate(g)
+        assert got.cardinality() == oracle_maximum_matching(g).cardinality()
+        assert 1 <= len(calls) <= 2
+
+
+def test_wide_series_nodes_match_oracle(rng):
+    # a series root with hundreds of children: each child joins once
+    for width in (200, 257, 400):
+        if width == 400:
+            parts = [build_graph(1, [])] * width          # K_400
+        else:
+            parts = [random_instance("cograph", rng.randint(1, 4), rng,
+                                     connected=False).graph
+                     for _ in range(width)]
+        g = substitute(complete(width), parts)
+        md = modular_decomposition(g)
+        assert md.kind == "series" and len(md.children) >= 200
+        want = oracle_maximum_matching(g).cardinality()
+        for solve in (max_matching_modular, max_matching_qq3):
+            got = solve(g, md)
+            got.validate(g)
+            assert got.cardinality() == want
 
 
 def test_max_matching_modular_matches_oracle(rng):
