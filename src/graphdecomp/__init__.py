@@ -17,8 +17,7 @@ from .families import (FamilySpec, GeneratedGraph, gen_family,
                        random_degenerate_split_tree, random_instance)
 from .graph import (DisconnectedGraphError, Graph, GraphError, bfs_distances,
                     build_graph, read_edgelist, substitute, write_edgelist)
-from .hyp import (hyperbolicity_mw_gate, hyperbolicity_nd, hyperbolicity_qq3,
-                  hyperbolicity_split)
+from .hyp import hyperbolicity_nd, hyperbolicity_qq3, hyperbolicity_split
 from .kexpr import (KExpression, LabeledGraph, RedundantExpressionError,
                     dp_girth, dp_triangle_count, eval_kexpr,
                     kexpr_from_modular, kexpr_vertex_order, max_label,

@@ -1,11 +1,18 @@
 """Recognition of the special prime quotient classes.
 
 A prime graph is classified as a disc (cycle or co-cycle), a prime spider,
-one of the four spiked p-chain families, or a leftover small prime.  Every
-positive answer carries a witness labeling that is re-verified against the
-defining edge set, so recognition can never misclassify; at worst an exotic
-member falls back to the small-prime tag, which downstream algorithms treat
-with their generic (slower but exact) machinery.
+one of the four spiked p-chain families (P_k, Q_k and their complements),
+or a leftover small prime.  No recogniser searches: each reads one
+labelling off degrees and neighbourhoods, and a positive answer carries it
+as a witness that has been re-verified against the class's defining edge
+set.
+
+Proven: every member of a class gets its tag.  For discs, spiders and P_k
+degree counts single out the cycle order, the legs and the tips; for Q_k
+the proof is at ``_qk_ladder``.  Verify-only: the correctness of a tag
+rests on the exact re-check, not on these arguments, so a graph outside
+every class can only end as small-prime, whose order ``effective_q``
+reports and whose downstream solvers are the generic exact ones.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from dataclasses import dataclass, field
 
 from .families import spiked_pk_edges, spiked_qk_edges
 from .graph import Graph, GraphError, build_graph
-from .modular import modular_decomposition
+from .modular import PRIME, modular_decomposition
 
 DISC_CYCLE = "disc-cycle"
 DISC_COCYCLE = "disc-cocycle"
@@ -25,8 +32,6 @@ SPIKED_PK_BAR = "spiked-pk-bar"
 SPIKED_QK = "spiked-qk"
 SPIKED_QK_BAR = "spiked-qk-bar"
 SMALL_PRIME = "small-prime"
-
-_DFS_BRANCH_CAP = 512
 
 
 @dataclass
@@ -40,34 +45,28 @@ def is_prime(g: Graph) -> bool:
     if g.n < 4:
         return False
     md = modular_decomposition(g)
-    return md.kind == "prime" and all(c.is_leaf() for c in md.children)
+    return md.kind == PRIME and all(c.is_leaf() for c in md.children)
 
 
 def classify_prime_graph(g: Graph, check_prime: bool = True) -> QuotientClass:
     if check_prime and not is_prime(g):
         raise GraphError("classification requires a graph that is prime "
                          "for modular decomposition")
-    res = _recognize_cycle(g)
-    if res:
-        return res
-    res = _recognize_cycle(g.complement())
-    if res and g.n >= 5:
-        return QuotientClass(DISC_COCYCLE, g.n, res.witness)
-    res = _recognize_prime_spider(g)
-    if res:
-        return res
-    res = _recognize_spiked_pk(g)
-    if res:
-        return res
-    res = _recognize_spiked_pk(g.complement())
-    if res:
-        return QuotientClass(SPIKED_PK_BAR, g.n, res.witness)
-    res = _recognize_spiked_qk(g)
-    if res:
-        return res
-    res = _recognize_spiked_qk(g.complement())
-    if res:
-        return QuotientClass(SPIKED_QK_BAR, g.n, res.witness)
+    co = None     # the complement, built on first need
+    for recognize, bar_tag in ((_recognize_cycle, DISC_COCYCLE),
+                               (_recognize_prime_spider, None),
+                               (_recognize_spiked_pk, SPIKED_PK_BAR),
+                               (_recognize_spiked_qk, SPIKED_QK_BAR)):
+        res = recognize(g)
+        if res:
+            return res
+        if bar_tag is None:
+            continue
+        if co is None:
+            co = g.complement()
+        res = recognize(co)
+        if res:
+            return QuotientClass(bar_tag, g.n, res.witness)
     return QuotientClass(SMALL_PRIME, g.n, {})
 
 
@@ -163,7 +162,8 @@ def _check_spider(g: Graph, s_set: list[int], thick: bool, r_count: int):
 
 def _recognize_spiked_pk(g: Graph):
     n = g.n
-    if n < 6 or not g.is_connected():
+    # a path on k vertices plus t <= 2 tips of two edges: m = n - 1 + t
+    if n < 6 or g.m > n + 1 or not g.is_connected():
         return None
     tips = []
     for v in range(n):
@@ -223,13 +223,15 @@ def _as_path(g: Graph):
 
 def _verify_pk(g: Graph, k: int, with_x: bool, with_y: bool, roles) -> bool:
     n, edges, ref_roles = spiked_pk_edges(k, with_x, with_y)
-    if n != g.n:
-        return False
-    perm = [0] * n
+    return n == g.n and _labels(g, edges, ref_roles, roles)
+
+
+def _labels(g: Graph, edges, ref_roles: dict, roles: dict) -> bool:
+    """Whether ``roles`` carries the reference edges exactly onto g."""
+    perm = [0] * g.n
     for name, ref_id in ref_roles.items():
         perm[ref_id] = roles[name]
-    want = build_graph(n, edges).relabel(perm)
-    return want == g
+    return build_graph(g.n, edges).relabel(perm) == g
 
 
 # -- spiked p-chains Q_k ----------------------------------------------------
@@ -240,139 +242,125 @@ def _recognize_spiked_qk(g: Graph):
     if n < 6 or not g.is_connected():
         return None
     masks = g.masks()
-    simplicial = []
-    for v in range(n):
-        if _is_simplicial(g, masks, v):
-            simplicial.append(v)
-    stable = set(simplicial)
+    # a split graph: the simplicial vertices are stable, the rest a clique
+    stable = {v for v in range(n)
+              if not any(masks[v] & ~masks[w] & ~(1 << w) for w in g.adj[v])}
     clique = [v for v in range(n) if v not in stable]
-    for i, u in enumerate(clique):
-        for w in clique[i + 1:]:
-            if not g.has_edge(u, w):
-                return None
+    clique_mask = sum(1 << v for v in clique)
+    if (any(masks[v] & ~clique_mask for v in stable)
+            or any(clique_mask & ~masks[v] != 1 << v for v in clique)):
+        return None
+    found = _qk_ladder(g, stable)
+    return QuotientClass(SPIKED_QK, n, found) if found else None
+
+
+def _qk_ladder(g: Graph, stable: set):
+    """Label the v-chain of a split graph without search; verify exactly.
+
+    v_1 is the degree-1 vertex whose neighbour has more stable neighbours,
+    and v_2 that neighbour.  Step i (from 1) has v_1..v_{2i} pinned:
+    v_{2i+1} is the unused stable vertex that sees v_2..v_{2i-2} but not
+    v_{2i} among the pinned evens, of larger degree where two qualify, and
+    v_{2i+2} is the unused neighbour of v_{2i+1} with the fewest stable
+    neighbours.  The ladder stops when a step has no candidate; the
+    labelling is then checked by ``_qk_finish``, and once more without its
+    last even if it ends on one.
+
+    Completeness.  In ``spiked_qk_edges(k, zs)`` the stable side is the odd
+    vertices, every z index lies in 2..k-5, v_{2l-1} sees the evens
+    v_2..v_{2l-4} and v_{2l}, z_{2l-1} sees v_2..v_{2l}, z_{2j} sees
+    v_{2l-1} exactly for l >= j+2, and z_{2l-1} sees z_{2j} exactly for
+    j <= l-1.  Let g be a relabelled member.
+    - Start: v_1 and v_3 are its only degree-1 vertices, and v_2 has one
+      stable neighbour more than v_4 (v_5).
+    - Odd step: among v_2..v_{2i}, an unused v_{2l-1} sees just
+      v_2..v_{2i-2} only for l = i+1, and z_{2l-1} only for l = i-1.  If
+      z_{2i-3} exists then k >= 2i+2, and v_{2i+1} sees the i-1 evens,
+      v_{2i+2} and every z_{2j} with j <= i-1, while z_{2i-3} sees the i-1
+      evens and the z_{2j} with j <= i-2 only.  If k = 2i nothing
+      qualifies and the ladder stops on the true chain.
+    - Even step: the unused neighbours of v_{2i+1} are v_{2i+2} (if
+      k >= 2i+2) and the z_{2j} with j <= i-1.  Such a z_{2j} sees every
+      stable neighbour of v_{2i+2}, and also v_{2j+3} (j <= i-2) or
+      v_{2i+3} (j = i-1, present as 2j <= k-5), which v_{2i+2} misses.
+    - If k = 2i+1 the even step may pin a z_{2j} (j <= i-2) as v_{2i+2}.
+      The next odd step then finds nothing: every odd v is used, and an
+      odd z seeing v_2..v_{2i} would need index 2i-1 > k-5.  The retry
+      without that even labels g.
+    So every member is labelled, and since the labelling is re-verified
+    against ``spiked_qk_edges`` a non-member still ends as None.
+
+    Bound: each of the at most n/2 odd steps scans the stable vertices and
+    one neighbourhood, and the pinned-even counts grow by one neighbourhood
+    per even, so the ladder is O(n^2), as is each ``_qk_finish``.
+    """
+    n = g.n
+    stable_deg = [0] * n
     for u in stable:
         for w in g.adj[u]:
-            if w in stable:
-                return None
-
-    deg1 = [v for v in range(n) if g.degree(v) == 1]
-    if len(deg1) != 2:
+            stable_deg[w] += 1
+    ends = [v for v in range(n) if g.degree(v) == 1]
+    if len(ends) != 2:
         return None
-    a, b = deg1
-    if a not in stable or b not in stable:
-        return None
-    na, nb = g.adj[a][0], g.adj[b][0]
-    if na == nb:
-        return None
-
-    def stable_degree(v: int) -> int:
-        return sum(1 for w in g.adj[v] if w in stable)
-
-    if stable_degree(na) == stable_degree(nb):
-        return None
-    if stable_degree(na) < stable_degree(nb):
-        a, b, na, nb = b, a, nb, na
-    roles = {"v1": a, "v2": na, "v3": b, "v4": nb}
-    budget = [_DFS_BRANCH_CAP]
-    found = _qk_ladder(g, stable, set(clique), roles, budget)
-    if found is None:
-        return None
-    return QuotientClass(SPIKED_QK, n, found)
-
-
-def _is_simplicial(g: Graph, masks, v: int) -> bool:
-    for w in g.adj[v]:
-        if masks[v] & ~masks[w] & ~(1 << w) & ~(1 << v):
-            return False
-    return True
-
-
-def _qk_ladder(g: Graph, stable: set, clique: set, roles: dict, budget):
-    """DFS completion of the v-chain; z roles are deduced then verified."""
-    n = g.n
-
-    def search(roles: dict, used: set, i: int):
-        # v_1..v_{2i} are pinned; extend with v_{2i+1} then v_{2i+2}
-        if budget[0] <= 0:
-            return None
-        budget[0] -= 1
-        done = _qk_finish(g, stable, clique, roles, used)
-        if done is not None:
-            return done
-        prev_even = roles.get(f"v{2 * i - 2}")
-        this_even = roles.get(f"v{2 * i}")
-        if prev_even is None or this_even is None:
-            return None
-        pinned_prefix = {roles[f"v{2 * m}"] for m in range(1, i)}
-        cands = []
-        for u in stable:
-            if u in used:
-                continue
-            nb = set(g.adj[u]) & {roles[f"v{2 * m}"] for m in range(1, i + 1)}
-            if nb == pinned_prefix:
-                cands.append(u)
-        for odd in sorted(cands):
-            r2 = dict(roles)
-            r2[f"v{2 * i + 1}"] = odd
-            u2 = used | {odd}
-            done = _qk_finish(g, stable, clique, r2, u2)
-            if done is not None:
-                return done
-            even_cands = sorted(set(g.adj[odd]) & clique - u2 -
-                                {r2[f"v{2 * m}"] for m in range(1, i + 1)})
-            for even in even_cands:
-                r3 = dict(r2)
-                r3[f"v{2 * i + 2}"] = even
-                out = search(r3, u2 | {even}, i + 1)
-                if out is not None:
-                    return out
-        return None
-
+    v1 = max(ends, key=lambda v: stable_deg[g.adj[v][0]])
+    roles = {"v1": v1, "v2": g.adj[v1][0]}
+    hits = [0] * n           # pinned evens adjacent to each vertex
+    for u in g.adj[roles["v2"]]:
+        hits[u] += 1
+    pool = sorted(stable)
     used = set(roles.values())
-    return search(dict(roles), used, 2)
+    i = 1
+    while True:
+        last = set(g.adj[roles[f"v{2 * i}"]])
+        odds = [u for u in pool if u not in used and hits[u] == i - 1
+                and u not in last]
+        if not odds:
+            break
+        odd = max(odds, key=g.degree)
+        roles[f"v{2 * i + 1}"] = odd
+        used.add(odd)
+        evens = [w for w in g.adj[odd] if w not in used]
+        if not evens:
+            break
+        even = min(evens, key=stable_deg.__getitem__)
+        roles[f"v{2 * i + 2}"] = even
+        used.add(even)
+        for u in g.adj[even]:
+            hits[u] += 1
+        i += 1
+    found = _qk_finish(g, stable, roles)
+    if found is None and f"v{2 * i + 1}" not in roles:
+        del roles[f"v{2 * i}"]
+        found = _qk_finish(g, stable, roles)
+    return found
 
 
-def _qk_finish(g: Graph, stable: set, clique: set, roles: dict, used: set):
-    """Deduce z indices for leftover vertices and verify exactly."""
-    k = max(int(name[1:]) for name in roles if name.startswith("v"))
+def _qk_finish(g: Graph, stable: set, roles: dict):
+    """Name every unpinned vertex a z and verify the labelling exactly.
+
+    z_{2l-1} sees the evens up to v_{2l}; z_{2j} sees no odd before
+    v_{2j+3}.
+    """
+    k = len(roles)
     if k < 6:
         return None
-    v_evens = {}
-    for name, v in roles.items():
-        idx = int(name[1:])
-        if idx % 2 == 0:
-            v_evens[v] = idx // 2
+    index = {v: int(name[1:]) for name, v in roles.items()}
     full = dict(roles)
-    for u in sorted(set(range(g.n)) - used):
+    for u in range(g.n):
+        if u in index:
+            continue
+        seen = [index[w] for w in g.adj[u] if w in index]
         if u in stable:
-            js = sorted(v_evens[w] for w in g.adj[u] if w in v_evens)
-            if not js or js != list(range(1, len(js) + 1)):
-                return None
-            z_idx = 2 * js[-1] - 1
+            z_idx = max(seen, default=0) - 1
         else:
-            miss = sorted(v_evens.values())
-            odd_names = {roles.get(f"v{2 * m - 1}"): m
-                         for m in range(1, (k + 1) // 2 + 1)
-                         if roles.get(f"v{2 * m - 1}") is not None}
-            non_adj = sorted(odd_names[w] for w in odd_names
-                             if w is not None and not g.has_edge(u, w))
-            if not non_adj or non_adj != list(range(1, len(non_adj) + 1)):
-                return None
-            z_idx = 2 * (non_adj[-1] - 1)
+            z_idx = min((i for i in seen if i % 2), default=0) - 3
         name = f"z{z_idx}"
-        if name in full.values() or name in full:
-            return None
-        if not 2 <= z_idx <= k - 5:
+        if name in full or not 2 <= z_idx <= k - 5:
             return None
         full[name] = u
-    zs = tuple(sorted(int(nm[1:]) for nm in full if nm.startswith("z")))
-    ref_n, ref_edges, ref_roles = spiked_qk_edges(k, zs)
-    if ref_n != g.n or set(ref_roles) != set(full):
-        return None
-    perm = [0] * g.n
-    for name, ref_id in ref_roles.items():
-        perm[ref_id] = full[name]
-    if build_graph(ref_n, ref_edges).relabel(perm) != g:
+    zs = tuple(sorted(int(name[1:]) for name in full if name[0] == "z"))
+    _, edges, ref_roles = spiked_qk_edges(k, zs)
+    if not _labels(g, edges, ref_roles, full):
         return None
     return {"k": k, "roles": full, "zs": zs}
 
@@ -388,7 +376,7 @@ def effective_q(g: Graph, md) -> int:
     """
     worst = 7
     for node in md.iter_nodes():
-        if node.kind != "prime":
+        if node.kind != PRIME:
             continue
         q = node.quotient
         cls = classify_prime_graph(q, check_prime=False)

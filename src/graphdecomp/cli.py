@@ -1,4 +1,4 @@
-"""Command-line front end: decomposition dumps, algorithms, checks, benches.
+"""Command-line front end: decomposition dumps, algorithms and checks.
 
 Exit codes: 0 success, 1 structural or algorithmic error, 2 usage error,
 3 check mismatch.  All results go to stdout and are byte-deterministic for
@@ -16,13 +16,12 @@ import time
 from .bc import betweenness_nd, betweenness_split
 from .blossom import Matching
 from .classify import effective_q
-from .distances import UNREACHABLE, Half
+from .distances import Half
 from .ecc import eccentricities_modular, eccentricities_qq3, eccentricities_split
 from .families import FAMILY_NAMES, random_instance
 from .graph import (DisconnectedGraphError, Graph, GraphError, read_edgelist,
                     write_edgelist)
-from .hyp import (hyperbolicity_mw_gate, hyperbolicity_nd, hyperbolicity_qq3,
-                  hyperbolicity_split)
+from .hyp import hyperbolicity_nd, hyperbolicity_qq3, hyperbolicity_split
 from .kexpr import (dp_girth, dp_triangle_count, kexpr_from_modular,
                     parse_kexpr)
 from .matching import max_matching_modular, max_matching_qq3
@@ -93,7 +92,6 @@ METHODS = {
         "split": _on(split_decomposition, hyperbolicity_split),
         "nd": _on(nd_partition, hyperbolicity_nd),
         "qq3": _on(modular_decomposition, hyperbolicity_qq3),
-        "mw": _on(modular_decomposition, hyperbolicity_mw_gate),
         "oracle": lambda g, cap: oracle_hyperbolicity(g, cap=cap),
     },
     "bc": {
@@ -145,12 +143,6 @@ def cmd_hyp(args) -> int:
     g = _load_graph(args.graph)
     solve = METHODS["hyp"][args.method]
     vals = [solve(sub, args.oracle_cap) for sub, _ in _per_component(g)]
-    if args.method == "mw":
-        # the gate reports a value only where the quotient settles delta > 1
-        vals = [val for gate, val in vals if gate]
-        if not vals:
-            print("gate=false (delta <= 1; quotient kernel cannot settle it)")
-            return 0
     print(max(vals, default=Half(0)))
     return 0
 
@@ -223,8 +215,7 @@ def _shown(value):
 
 def _check_one(problem: str, method: str, g: Graph, oracle_cap: int):
     methods = METHODS[problem]
-    # the mw gate bounds delta from the quotient; it does not compute it
-    if method not in methods or method == "mw":
+    if method not in methods:
         raise GraphError(f"unknown {problem} method {method!r}")
     return (_shown(methods[method](g, oracle_cap)),
             _shown(methods["oracle"](g, oracle_cap)))
@@ -249,35 +240,6 @@ def cmd_check(args) -> int:
     print(f"summary trials {args.trials} mismatches {mismatches}")
     print(f"check wall time {time.perf_counter() - t0:.2f}s", file=sys.stderr)
     return 3 if mismatches else 0
-
-
-def cmd_bench(args) -> int:
-    rng = random.Random(args.seed)
-    from .families import random_degenerate_split_tree
-    from .ecc import eccentricities_split
-
-    print("n,m,components,ecc_checksum")
-    for n in args.sizes:
-        tree = random_degenerate_split_tree(n, rng)
-        t0 = time.perf_counter()
-        g = tree.recompose()
-        t1 = time.perf_counter()
-        vals = eccentricities_split(g, tree)
-        t2 = time.perf_counter()
-        checksum = sum(v for v in vals if v is not UNREACHABLE)
-        print(f"{n},{g.m},{len(tree.components)},{checksum}")
-        print(f"bench n={n}: recompose {t1 - t0:.3f}s ecc-dp {t2 - t1:.3f}s",
-              file=sys.stderr)
-        if args.with_oracle and n <= args.oracle_cap:
-            t3 = time.perf_counter()
-            want = oracle_eccentricities(g)
-            t4 = time.perf_counter()
-            agree = want == vals
-            print(f"bench n={n}: oracle {t4 - t3:.3f}s agree={agree}",
-                  file=sys.stderr)
-            if not agree:
-                raise GraphError("bench oracle disagreement")
-    return 0
 
 
 # -- argument wiring ----------------------------------------------------------
@@ -360,14 +322,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     oracle_cap(p)
     p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("bench", help="scaling table for the split-tree DP")
-    p.add_argument("--sizes", type=lambda s: [int(x) for x in s.split(",")],
-                   required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--with-oracle", action="store_true")
-    p.add_argument("--oracle-cap", type=int, default=20000)
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

@@ -190,9 +190,8 @@ def spiked_qk_edges(k: int, zs: tuple[int, ...]):
         roles[f"z{z}"] = n
         n += 1
 
-    def adjacent(a: str, b: str) -> bool:
-        ta, ia = a[0], int(a[1:])
-        tb, ib = b[0], int(b[1:])
+    def adjacent(a: tuple[str, int], b: tuple[str, int]) -> bool:
+        (ta, ia), (tb, ib) = a, b
         if ta == "v" and tb == "v":
             if ia % 2 == 0 and ib % 2 == 0:
                 return True
@@ -211,8 +210,7 @@ def spiked_qk_edges(k: int, zs: tuple[int, ...]):
             i = (odd + 1) // 2           # z_{2i-1}
             j = even // 2                # z_{2j}
             return j <= i - 1
-        z, v = (a, b) if ta == "z" else (b, a)
-        iz, iv = int(z[1:]), int(v[1:])
+        iz, iv = (ia, ib) if ta == "z" else (ib, ia)
         if iz % 2 == 1:                   # z odd: prefix of even v's
             i = (iz + 1) // 2
             return iv % 2 == 0 and iv // 2 <= i
@@ -221,12 +219,12 @@ def spiked_qk_edges(k: int, zs: tuple[int, ...]):
             return True
         return (iv + 1) // 2 > i + 1
 
-    names = list(roles)
+    names = [(name[0], int(name[1:])) for name in roles]
     edges = []
     for a_pos in range(len(names)):
         for b_pos in range(a_pos + 1, len(names)):
             if adjacent(names[a_pos], names[b_pos]):
-                edges.append((roles[names[a_pos]], roles[names[b_pos]]))
+                edges.append((a_pos, b_pos))
     return n, edges, roles
 
 

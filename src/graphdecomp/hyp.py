@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from .distances import Half
 from .graph import DisconnectedGraphError, Graph, bfs_distances
-from .modular import MDNode, NDPartition, SERIES
+from .modular import MDNode, NDPartition
 from .splitdec import (COMPLETE, PRIME, STAR, SplitTree, neighbor_sums,
                        split_tree_from_modular, split_tree_from_nd)
 
@@ -259,18 +259,6 @@ def hyperbolicity_nd(g: Graph, ndp: NDPartition) -> Half:
         return Half(0)
     st = split_tree_from_nd(g, ndp)
     return hyperbolicity_over_tree(st)
-
-
-def hyperbolicity_mw_gate(g: Graph, md: MDNode) -> tuple[bool, Half | None]:
-    """Decide delta > 1 from the quotient alone; report the value if so."""
-    _require_connected(g)
-    if md.is_leaf() or md.kind == SERIES:
-        return False, None
-    quotient = md.quotient
-    dq = component_delta(quotient)
-    if dq > Half(2):
-        return True, dq
-    return False, None
 
 
 def hyperbolicity_qq3(g: Graph, md: MDNode) -> Half:

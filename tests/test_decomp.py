@@ -1,19 +1,23 @@
 import json
+import random
 from itertools import combinations
 
 import pytest
 
 import graphdecomp.splitdec as splitdec
 from graphdecomp import (FamilySpec, GraphError, build_graph,
-                         classify_prime_graph, effective_q, gen_family,
-                         is_module, modular_decomposition, modular_width,
-                         nd_partition, quotient_graph,
+                         classify_prime_graph, eccentricities_qq3,
+                         effective_q, gen_family, is_module,
+                         max_matching_qq3, maximum_matching,
+                         modular_decomposition, modular_width, nd_partition,
+                         oracle_eccentricities, quotient_graph,
                          random_degenerate_split_tree, split_decomposition,
                          split_tree_from_modular, split_tree_from_nd,
                          split_width, substitute)
 from graphdecomp.classify import (DISC_COCYCLE, DISC_CYCLE, SMALL_PRIME,
-                                  SPIKED_PK, SPIKED_QK, THICK_SPIDER,
-                                  THIN_SPIDER, is_prime)
+                                  SPIKED_PK, SPIKED_QK, SPIKED_QK_BAR,
+                                  THICK_SPIDER, THIN_SPIDER, is_prime)
+from graphdecomp.families import spiked_qk_edges
 from graphdecomp.modular import FALSE_TWINS, PRIME, TRUE_TWINS
 from graphdecomp.splitdec import STAR, is_marker
 
@@ -320,6 +324,51 @@ def test_classify_witness_reverifies(rng):
             # mapping the witness roles back must reproduce the adjacency
             roles = cls.witness["roles"]
             assert len(set(roles.values())) == h.n
+
+
+def _relabelled_qk(rng, k, zs=None):
+    """A random relabelling of spiked_qk_edges(k, zs); zs drawn if None."""
+    if zs is None:
+        zs = tuple(z for z in range(2, k - 4) if rng.random() < 0.5)
+    n, edges, _ = spiked_qk_edges(k, zs)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return build_graph(n, edges).relabel(perm), zs
+
+
+def _assert_qk(g, k, zs):
+    cls = classify_prime_graph(g, check_prime=False)
+    assert (cls.tag, cls.witness["k"], cls.witness["zs"]) == (SPIKED_QK, k, zs)
+    cls = classify_prime_graph(g.complement(), check_prime=False)
+    assert (cls.tag, cls.witness["k"], cls.witness["zs"]) == \
+        (SPIKED_QK_BAR, k, zs)
+
+
+def test_every_small_spiked_qk_is_recognised():
+    rng = random.Random(13)
+    for k in range(6, 17):
+        for r in range(k - 4):
+            for zs in combinations(range(2, k - 4), r):
+                g, _ = _relabelled_qk(rng, k, zs)
+                _assert_qk(g, k, zs)
+
+
+def test_large_spiked_qk_is_recognised():
+    rng = random.Random(7)
+    for k in (80, 80, 160, 160):
+        g, zs = _relabelled_qk(rng, k)
+        _assert_qk(g, k, zs)
+
+
+def test_large_spiked_qk_takes_the_class_solvers():
+    # q_eff 7: the member and its complement are labelled, not small primes
+    g, zs = _relabelled_qk(random.Random(7), 160)
+    for h in (g, g.complement()):
+        md = modular_decomposition(h)
+        assert effective_q(h, md) == 7
+        assert eccentricities_qq3(h, md) == oracle_eccentricities(h)
+        assert max_matching_qq3(h, md).cardinality() == \
+            maximum_matching(h).cardinality()
 
 
 def test_small_prime_and_effective_q(rng):

@@ -8,8 +8,8 @@ from graphdecomp import (DisconnectedGraphError, FamilySpec, build_graph,
                          betweenness_nd, betweenness_split,
                          eccentricities_modular, eccentricities_qq3,
                          eccentricities_split, gen_family,
-                         hyperbolicity_mw_gate, hyperbolicity_nd,
-                         hyperbolicity_qq3, hyperbolicity_split,
+                         hyperbolicity_nd, hyperbolicity_qq3,
+                         hyperbolicity_split,
                          modular_decomposition, modular_width, nd_partition,
                          oracle_betweenness, oracle_eccentricities,
                          oracle_hyperbolicity, random_degenerate_split_tree,
@@ -134,18 +134,6 @@ def test_hyp_split_c4_across_a_split():
     assert got >= Half(2)
 
 
-def test_hyp_mw_gate():
-    sub = substitute(cycle(12), [build_graph(2, [(0, 1)])] * 12)
-    gate, val = hyperbolicity_mw_gate(sub, modular_decomposition(sub))
-    assert gate and val == oracle_hyperbolicity(sub)
-    cog = random_instance("cograph", 20, random.Random(5)).graph
-    gate, val = hyperbolicity_mw_gate(cog, modular_decomposition(cog))
-    assert not gate and val is None
-    sub5 = substitute(cycle(5), [build_graph(2, [(0, 1)])] * 5)
-    gate, val = hyperbolicity_mw_gate(sub5, modular_decomposition(sub5))
-    assert not gate    # delta(C5) = 1 fails the strict gate
-
-
 def test_hyp_qq3_class_values():
     thin = gen_family(FamilySpec(kind="ThinSpider", k=4), 0).graph
     assert hyperbolicity_qq3(thin, modular_decomposition(thin)) == Half(0)
@@ -186,9 +174,6 @@ def test_hyp_all_methods_equal_oracle(rng):
         assert hyperbolicity_split(g, split_decomposition(g)) == want
         assert hyperbolicity_nd(g, nd_partition(g)) == want
         assert hyperbolicity_qq3(g, md) == want
-        gate, val = hyperbolicity_mw_gate(g, md)
-        if gate:
-            assert val == want
         sw = split_width(split_decomposition(g))
         assert want <= max(Half(2), Half.of_int((sw - 1) // 2))
         diam = max(oracle_eccentricities(g))
