@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .families import spiked_pk_edges, spiked_qk_edges
-from .graph import Graph, GraphError, build_graph
+from .graph import Graph, GraphError, build_graph, simplicial_vertices
 from .modular import PRIME, modular_decomposition
 
 DISC_CYCLE = "disc-cycle"
@@ -243,8 +243,7 @@ def _recognize_spiked_qk(g: Graph):
         return None
     masks = g.masks()
     # a split graph: the simplicial vertices are stable, the rest a clique
-    stable = {v for v in range(n)
-              if not any(masks[v] & ~masks[w] & ~(1 << w) for w in g.adj[v])}
+    stable = simplicial_vertices(g)
     clique = [v for v in range(n) if v not in stable]
     clique_mask = sum(1 << v for v in clique)
     if (any(masks[v] & ~clique_mask for v in stable)

@@ -248,20 +248,22 @@ def _gen_substitution(spec: FamilySpec, rng) -> GeneratedGraph:
     parts = [gen_family(ps, rng.getrandbits(32)) for ps in spec.parts]
     if len(parts) != quotient.graph.n:
         raise GraphError("substitution needs one part per quotient vertex")
-    g = substitute(quotient.graph, [p.graph for p in parts])
-    offsets = []
-    total = 0
-    for p in parts:
-        offsets.append(total)
-        total += p.graph.n
-    modules = [list(range(offsets[i], offsets[i] + parts[i].graph.n))
-               for i in range(len(parts))]
-    return GeneratedGraph(g, spec, {
-        "modules": modules,
+    graphs = [p.graph for p in parts]
+    return GeneratedGraph(substitute(quotient.graph, graphs), spec, {
+        "modules": _substituted_modules(graphs),
         "quotient": quotient.graph,
         "quotient_annotations": quotient.annotations,
         "part_annotations": [p.annotations for p in parts],
     })
+
+
+def _substituted_modules(parts: list[Graph]) -> list[list[int]]:
+    """The vertex ranges ``substitute`` gives the parts, in part order."""
+    modules, start = [], 0
+    for p in parts:
+        modules.append(list(range(start, start + p.n)))
+        start += p.n
+    return modules
 
 
 # -- distance-hereditary via a random split tree ----------------------------
@@ -411,8 +413,6 @@ def _connected_quotient_spec(k: int, rng) -> FamilySpec:
 
 def _qq3_mix_instance(n: int, rng) -> GeneratedGraph:
     """A spiked p-chain quotient with cographs at its allowed positions."""
-    from .graph import substitute as _substitute
-
     bar = rng.random() < 0.5
     if rng.random() < 0.5:
         k = max(6, n // 2)
@@ -441,16 +441,9 @@ def _qq3_mix_instance(n: int, rng) -> GeneratedGraph:
                 FamilySpec(kind="Cograph", n=1 + extra), rng.getrandbits(32)).graph)
         else:
             parts.append(build_graph(1, []))
-    graph = _substitute(quotient, parts)
-    offsets = []
-    total = 0
-    for p in parts:
-        offsets.append(total)
-        total += p.n
-    modules = [list(range(offsets[i], offsets[i] + parts[i].n))
-               for i in range(len(parts))]
+    graph = substitute(quotient, parts)
     spec = FamilySpec(kind="Substitution", quotient=base)
-    return GeneratedGraph(graph, spec, {"modules": modules,
+    return GeneratedGraph(graph, spec, {"modules": _substituted_modules(parts),
                                         "chain": gg.annotations["chain"],
                                         "bar": bar})
 

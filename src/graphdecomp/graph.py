@@ -159,6 +159,21 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph.from_rows([tuple(sorted(s)) for s in sets])
 
 
+def find_root(parent: list[int], x: int) -> int:
+    """The root of x in a union-find forest, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def simplicial_vertices(g: Graph) -> set[int]:
+    """The vertices whose neighbourhood is a clique."""
+    masks = g.masks()
+    return {v for v in range(g.n)
+            if not any(masks[v] & ~masks[w] & ~(1 << w) for w in g.adj[v])}
+
+
 def mask_vertices(mask: int) -> Iterator[int]:
     """The vertices of a bitmask, lowest first."""
     while mask:

@@ -30,7 +30,8 @@ tests compare against.
 from __future__ import annotations
 
 from .distances import Half
-from .graph import DisconnectedGraphError, Graph, bfs_distances
+from .graph import (DisconnectedGraphError, Graph, bfs_distances,
+                    simplicial_vertices)
 from .modular import MDNode, NDPartition
 from .splitdec import (COMPLETE, PRIME, STAR, SplitTree, neighbor_sums,
                        split_tree_from_modular, split_tree_from_nd)
@@ -179,20 +180,6 @@ def component_delta(g: Graph) -> Half:
     if _diameter_at_most_2(g):
         return Half(2) if _has_induced_c4(g) else Half(1)
     return four_point_delta(g)
-
-
-def simplicial_vertices(g: Graph) -> set[int]:
-    masks = g.masks()
-    out = set()
-    for v in range(g.n):
-        ok = True
-        for w in g.adj[v]:
-            if masks[v] & ~masks[w] & ~(1 << w) & ~(1 << v):
-                ok = False
-                break
-        if ok:
-            out.add(v)
-    return out
 
 
 # -- the split scheme --------------------------------------------------------

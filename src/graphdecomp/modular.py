@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graph import Graph, GraphError, build_graph, mask_vertices
+from .graph import Graph, GraphError, build_graph, find_root, mask_vertices
 
 LEAF = "leaf"
 PARALLEL = "parallel"
@@ -53,36 +53,30 @@ class MDNode:
 def modular_decomposition(g: Graph) -> MDNode:
     if g.n == 0:
         raise GraphError("modular decomposition of the empty graph")
-    masks = g.masks()
-    return _decompose(tuple(range(g.n)), masks)
+    return _decompose(tuple(range(g.n)), g)
 
 
-def _decompose(vertices: tuple[int, ...], masks) -> MDNode:
+def _decompose(vertices: tuple[int, ...], g: Graph) -> MDNode:
     if len(vertices) == 1:
         return MDNode(LEAF, vertices, vertex=vertices[0])
+    masks = g.masks()
     in_set = 0
     for v in vertices:
         in_set |= 1 << v
 
     comps = _components(vertices, masks, in_set, complement=False)
     if len(comps) > 1:
-        children = [_decompose(c, masks) for c in comps]
+        children = [_decompose(c, g) for c in comps]
         return MDNode(PARALLEL, vertices, children)
     cocomps = _components(vertices, masks, in_set, complement=True)
     if len(cocomps) > 1:
-        children = [_decompose(c, masks) for c in cocomps]
+        children = [_decompose(c, g) for c in cocomps]
         return MDNode(SERIES, vertices, children)
 
     modules = _maximal_strong_modules(vertices, masks, in_set)
-    children = [_decompose(mod, masks) for mod in modules]
-    reps = [mod[0] for mod in modules]
-    q_edges = []
-    for i, u in enumerate(reps):
-        for j in range(i + 1, len(reps)):
-            if masks[u] >> reps[j] & 1:
-                q_edges.append((i, j))
-    quotient = build_graph(len(reps), q_edges)
-    return MDNode(PRIME, vertices, children, quotient=quotient)
+    children = [_decompose(mod, g) for mod in modules]
+    return MDNode(PRIME, vertices, children,
+                  quotient=quotient_graph(g, modules))
 
 
 def _components(vertices, masks, in_set: int, complement: bool):
@@ -246,14 +240,8 @@ def nd_partition(g: Graph) -> NDPartition:
     masks = g.masks()
     parent = list(range(g.n))
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
+        ra, rb = find_root(parent, a), find_root(parent, b)
         if ra != rb:
             parent[rb] = ra
 
@@ -273,7 +261,7 @@ def nd_partition(g: Graph) -> NDPartition:
 
     groups: dict[int, list[int]] = {}
     for v in range(g.n):
-        groups.setdefault(find(v), []).append(v)
+        groups.setdefault(find_root(parent, v), []).append(v)
     classes = sorted(tuple(sorted(vs)) for vs in groups.values())
 
     tags = []

@@ -33,6 +33,18 @@ in N(x) - {y}) meet every split: if x has no neighbour across, N[x] lies on
 x's side; otherwise N(x) holds the whole frontier across.  So a component
 costs fewer than n(d + 1) closures of O(n^2) mask operations each, and the
 search is complete: it returns None only on prime graphs.
+
+``split_decomposition`` keeps one adjacency table, a neighbourhood mask
+per id, for the whole run.  Real vertices keep their ids; each split
+appends its two marker ids and replaces the crossing edges by the edges of
+each marker to its side's frontier.  So the row of a vertex always lies
+inside that vertex's fragment, and a fragment is just a vertex-set mask.
+The degenerate components are then merged in one pass over the marker
+pairs, clique with clique and star leaf with star centre.  A merge keeps
+the kind, and every slot keeps its role of centre or leaf, so whether a
+pair merges is read off the two fragments it was split into, in any order.
+A merged component is a clique or a star of known size, so only prime
+components read their graph off the table.
 """
 
 from __future__ import annotations
@@ -43,7 +55,7 @@ from typing import NamedTuple
 
 from . import modular
 from .graph import (DisconnectedGraphError, Graph, GraphError, build_graph,
-                    mask_vertices)
+                    find_root, mask_vertices)
 
 COMPLETE = "complete"
 STAR = "star"
@@ -68,10 +80,6 @@ def marker_label(edge_id: int, side: int) -> int:
 
 def is_marker(label: int) -> bool:
     return label < 0
-
-
-def marker_edge(label: int) -> int:
-    return (-label - 1) // 2
 
 
 def _degenerate_graph(kind: str, size: int) -> Graph:
@@ -381,14 +389,16 @@ def neighbor_sums(comp: SplitComponent, vals: list, targets: list[int]) -> list:
 # split search
 
 
-def _find_split(masks: list[int], n: int) -> int | None:
+def _find_split(table: list[int], vs: int) -> int | None:
     """One side of a split of a connected graph as a bitmask, or None.
 
-    Twin pairs and pendant vertices give a split at once.  A cycle of
-    length >= 5 is prime, and so is a graph certified by
-    ``_certify_prime``: adding a vertex to a connected split-prime graph
-    can create only splits with a twin-pair or pendant side.  Otherwise a
-    two-case closure search decides, with x a vertex of least degree d:
+    The graph is the one ``table`` induces on the vertex set ``vs``, whose
+    rows lie inside ``vs``; the side is a subset of ``vs``.  Twin pairs and
+    pendant vertices give a split at once.  A cycle of length >= 5 is
+    prime, and so is a graph certified by ``_certify_prime``: adding a
+    vertex to a connected split-prime graph can create only splits with a
+    twin-pair or pendant side.  Otherwise a two-case closure search
+    decides, with x a vertex of least degree d:
 
     (i)  seed N[x], anchor every vertex outside N[x];
     (ii) for every y != x, seed {x, y}, anchor every vertex of N(x) - {y}.
@@ -413,17 +423,18 @@ def _find_split(masks: list[int], n: int) -> int | None:
     Either way some closure returns a split, so None means prime.
 
     Cost.  At most (n - d - 1) + (n - 1)d < n(d + 1) closures, each
-    O(n^2) operations on n-bit masks.
+    O(n^2) mask operations.
     """
+    n = vs.bit_count()
     if n < 4:
         return None
-    full = (1 << n) - 1
+    verts = list(mask_vertices(vs))
 
     by_open: dict[int, int] = {}
     by_closed: dict[int, int] = {}
-    for v in range(n):
-        o = masks[v]
-        c = masks[v] | (1 << v)
+    for v in verts:
+        o = table[v]
+        c = o | (1 << v)
         if o in by_open:
             return (1 << by_open[o]) | (1 << v)
         if c in by_closed:
@@ -431,56 +442,57 @@ def _find_split(masks: list[int], n: int) -> int | None:
         by_open[o] = v
         by_closed[c] = v
 
-    for v in range(n):
-        if masks[v].bit_count() == 1:
-            return (1 << v) | masks[v]
+    for v in verts:
+        if table[v].bit_count() == 1:
+            return (1 << v) | table[v]
 
     # a single cycle of length >= 5 is prime; its path prefixes all carry
     # pendants, so the growth certificate below cannot see it
-    if n >= 5 and all(m.bit_count() == 2 for m in masks):
+    if n >= 5 and all(table[v].bit_count() == 2 for v in verts):
         return None
 
-    if _certify_prime(masks, n, full):
+    if _certify_prime(table, vs):
         return None
 
-    x = min(range(n), key=lambda v: masks[v].bit_count())
-    xb, nx = 1 << x, masks[x]
-    cases = [(nx | xb, full & ~(nx | xb))]
-    cases += [(xb | yb, nx & ~yb) for yb in _bits(full & ~xb)]
+    x = min(verts, key=lambda v: table[v].bit_count())
+    xb, nx = 1 << x, table[x]
+    cases = [(nx | xb, vs & ~(nx | xb))]
+    cases += [(xb | yb, nx & ~yb) for yb in _bits(vs & ~xb)]
     for seed, anchors in cases:
         for db in _bits(anchors):
-            side = _anchored_closure(masks, full, seed, db)
+            side = _anchored_closure(table, vs, seed, db)
             if side is not None:
                 return side
     return None
 
 
-def _certify_prime(masks: list[int], n: int, full: int) -> bool:
-    """True only if the graph is provably prime for split decomposition.
+def _certify_prime(table: list[int], vs: int) -> bool:
+    """True only if the graph on ``vs`` is provably split-prime.
 
     Grows a connected induced prefix from an induced P4; a prefix without
     twin pairs or degree-one vertices is split-prime whenever its
     predecessor was.  False means "unknown" and the caller falls back to
     the exhaustive sweep.
     """
-    seeds = _induced_p4s(masks, n, limit=2)
-    ascending = list(range(n))
-    by_degree = sorted(range(n), key=lambda v: (-masks[v].bit_count(), v))
+    seeds = _induced_p4s(table, vs, limit=2)
+    ascending = list(mask_vertices(vs))
+    by_degree = sorted(ascending, key=lambda v: (-table[v].bit_count(), v))
     for seed in seeds:
         for order in (ascending, by_degree):
-            if _grow_prime_chain(masks, full, seed, order, budget=10 * n):
+            if _grow_prime_chain(table, vs, seed, order,
+                                 budget=10 * len(ascending)):
                 return True
     return False
 
 
-def _grow_prime_chain(masks, full: int, seed, order, budget: int) -> bool:
+def _grow_prime_chain(table, vs: int, seed, order, budget: int) -> bool:
     # the P4 seed is prime by shape; 2-freeness applies from size 5 on
     prefix = 0
     for v in seed:
         prefix |= 1 << v
-    remaining = full & ~prefix
+    remaining = vs & ~prefix
     while remaining:
-        frontier = remaining & _nbhd(masks, prefix)
+        frontier = remaining & _nbhd(table, prefix)
         advanced = False
         for v in order:
             if not (frontier >> v) & 1:
@@ -489,7 +501,7 @@ def _grow_prime_chain(masks, full: int, seed, order, budget: int) -> bool:
             if budget < 0:
                 return False
             cand = prefix | (1 << v)
-            if _prefix_two_free(masks, cand):
+            if _prefix_two_free(table, cand):
                 prefix = cand
                 remaining &= ~(1 << v)
                 advanced = True
@@ -499,24 +511,24 @@ def _grow_prime_chain(masks, full: int, seed, order, budget: int) -> bool:
     return True
 
 
-def _nbhd(masks: list[int], vertex_set: int) -> int:
+def _nbhd(table: list[int], vertex_set: int) -> int:
     out = 0
     s = vertex_set
     while s:
         b = s & -s
         s ^= b
-        out |= masks[b.bit_length() - 1]
+        out |= table[b.bit_length() - 1]
     return out & ~vertex_set
 
 
-def _prefix_two_free(masks: list[int], prefix: int) -> bool:
+def _prefix_two_free(table: list[int], prefix: int) -> bool:
     seen_open: set[int] = set()
     seen_closed: set[int] = set()
     s = prefix
     while s:
         b = s & -s
         s ^= b
-        row = masks[b.bit_length() - 1] & prefix
+        row = table[b.bit_length() - 1] & prefix
         if row.bit_count() <= 1:
             return False
         if row in seen_open or (row | b) in seen_closed:
@@ -526,23 +538,24 @@ def _prefix_two_free(masks: list[int], prefix: int) -> bool:
     return True
 
 
-def _induced_p4s(masks: list[int], n: int, limit: int) -> list[tuple[int, ...]]:
+def _induced_p4s(table: list[int], vs: int,
+                 limit: int) -> list[tuple[int, ...]]:
     out = []
-    for b in range(n):
-        nb = masks[b]
+    for b in mask_vertices(vs):
+        nb = table[b]
         cs = nb
         while cs:
             cb = cs & -cs
             cs ^= cb
             c = cb.bit_length() - 1
-            a_pool = nb & ~masks[c] & ~cb
-            d_pool = masks[c] & ~nb & ~(1 << b)
+            a_pool = nb & ~table[c] & ~cb
+            d_pool = table[c] & ~nb & ~(1 << b)
             ab = a_pool
             while ab:
                 abit = ab & -ab
                 ab ^= abit
                 a = abit.bit_length() - 1
-                dd = d_pool & ~masks[a]
+                dd = d_pool & ~table[a]
                 if dd:
                     d = (dd & -dd).bit_length() - 1
                     out.append((a, b, c, d))
@@ -554,25 +567,25 @@ def _induced_p4s(masks: list[int], n: int, limit: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _anchored_closure(masks: list[int], full: int,
+def _anchored_closure(table: list[int], vs: int,
                       seed: int, anchor_bit: int) -> int | None:
     side = seed
     d0 = anchor_bit.bit_length() - 1
     while True:
-        view0 = masks[d0] & side
-        outside = full & ~side & ~anchor_bit
+        view0 = table[d0] & side
+        outside = vs & ~side & ~anchor_bit
         moved = 0
         w = outside
         while w:
             b = w & -w
             w ^= b
-            view = masks[b.bit_length() - 1] & side
+            view = table[b.bit_length() - 1] & side
             if view and view != view0:
                 moved |= b
         if not moved:
             break
         side |= moved
-    if side.bit_count() < 2 or (full & ~side).bit_count() < 2:
+    if side.bit_count() < 2 or (vs & ~side).bit_count() < 2:
         return None
     return side
 
@@ -589,138 +602,84 @@ def _bits(mask: int):
 
 
 def split_decomposition(g: Graph) -> SplitTree:
-    """Maximal split decomposition, normalized by degenerate merges.
+    """The canonical split decomposition (Cunningham).
 
     Works per connected component (a forest of split trees on disconnected
-    input).  Every returned component is complete, a star, or prime; prime
-    orders are those of the canonical decomposition.
+    input).  Every returned component is complete, a star, or prime, and no
+    marker pair joins two cliques, or two stars at exactly one centre.
     """
-    st = SplitTree(n=g.n)
-    next_edge = 0
-
-    # fragments: (labels, masks) with local bitset adjacency
-    work: list[tuple[list[int], list[int]]] = []
-    for comp in g.connected_components():
-        labels = list(comp)
-        index = {v: i for i, v in enumerate(labels)}
-        masks = [0] * len(labels)
-        for v in comp:
-            for w in g.adj[v]:
-                masks[index[v]] |= 1 << index[w]
-        work.append((labels, masks))
-
+    table = list(g.masks())
+    pairs: list[tuple[int, int]] = []       # the two marker ids of a split
+    # finished fragments: vertices, kind, star centre id (else -1)
+    frags: list[tuple[list[int], str, int]] = []
+    work = [sum(1 << v for v in comp) for comp in g.connected_components()]
     while work:
-        labels, masks = work.pop()
-        n = len(labels)
-        kind, _ = _degree_kind([m.bit_count() for m in masks])
-        side = _find_split(masks, n) if kind == PRIME else None
+        vs = work.pop()
+        verts = list(mask_vertices(vs))
+        kind, centre = _degree_kind([table[v].bit_count() for v in verts])
+        side = _find_split(table, vs) if kind == PRIME else None
         if side is None:
-            rows = [tuple(mask_vertices(m)) for m in masks]
-            st.add(labels, graph=Graph.from_rows(rows))
+            frags.append((verts, kind, verts[centre] if kind == STAR else -1))
             continue
-        eid = next_edge
-        next_edge += 1
-        for piece, marker in ((side, marker_label(eid, 0)),
-                              (((1 << n) - 1) & ~side, marker_label(eid, 1))):
-            keep = list(mask_vertices(piece))
-            boundary = 0
-            other = ((1 << n) - 1) & ~piece
-            for i in keep:
-                if masks[i] & other:
-                    boundary |= 1 << i
-            sub_labels = [labels[i] for i in keep] + [marker]
-            remap = [0] * n
-            for new, old in enumerate(keep):
-                remap[old] = new
-            k = len(keep)
-            sub_masks = [0] * (k + 1)
-            for new, old in enumerate(keep):
-                inner = masks[old] & piece
-                acc = 0
-                while inner:
-                    b = inner & -inner
-                    inner ^= b
-                    acc |= 1 << remap[b.bit_length() - 1]
-                if (1 << old) & boundary:
-                    acc |= 1 << k
-                    sub_masks[k] |= 1 << new
-                sub_masks[new] = acc
-            work.append((sub_labels, sub_masks))
+        pair = (len(table), len(table) + 1)
+        table += [0, 0]
+        for piece, across, m in ((side, vs & ~side, pair[0]),
+                                 (vs & ~side, side, pair[1])):
+            for v in mask_vertices(piece):
+                if table[v] & across:
+                    table[v] = table[v] & ~across | 1 << m
+                    table[m] |= 1 << v
+            work.append(piece | 1 << m)
+        pairs.append(pair)
 
-    _merge_degenerates(st.components)
+    # one pass over the marker pairs, fragments joined by union-find
+    owner = [0] * len(table)
+    for f, (verts, _, _) in enumerate(frags):
+        for v in verts:
+            owner[v] = f
+    root = list(range(len(frags)))
+    merged = bytearray(len(table))
+    kept = []
+    for a, b in pairs:
+        _, kind_a, centre_a = frags[owner[a]]
+        _, kind_b, centre_b = frags[owner[b]]
+        if kind_a == kind_b == COMPLETE or (
+                kind_a == kind_b == STAR and (a == centre_a) != (b == centre_b)):
+            root[find_root(root, owner[b])] = find_root(root, owner[a])
+            merged[a] = merged[b] = 1
+        else:
+            kept.append((a, b))
 
-    locator: dict[int, tuple[int, int]] = {}
-    for ci, comp in enumerate(st.components):
-        for li, lab in enumerate(comp.labels):
-            if is_marker(lab):
-                locator[lab] = (ci, li)
-    for eid in range(next_edge):
-        ma, mb = marker_label(eid, 0), marker_label(eid, 1)
-        if ma in locator and mb in locator:
-            (ca, la), (cb, lb) = locator[ma], locator[mb]
-            st.tree_edges.append((ca, la, cb, lb))
+    label = list(range(len(table)))
+    for e, (a, b) in enumerate(kept):
+        label[a], label[b] = marker_label(e, 0), marker_label(e, 1)
+    classes: dict[int, list[int]] = {}
+    for f in range(len(frags)):
+        classes.setdefault(find_root(root, f), []).append(f)
+    st = SplitTree(n=g.n)
+    where: dict[int, tuple[int, int]] = {}
+    for members in classes.values():
+        slots = sorted(v for f in members for v in frags[f][0] if not merged[v])
+        kind = frags[members[0]][1]
+        if kind == PRIME:
+            pos = {v: i for i, v in enumerate(slots)}
+            rows = [tuple(pos[w] for w in mask_vertices(table[v]))
+                    for v in slots]
+            ci = st.add([label[v] for v in slots], graph=Graph.from_rows(rows))
+        else:
+            if kind == STAR:
+                # the one centre no merge consumed; every other slot a leaf
+                centre = next(frags[f][2] for f in members
+                              if not merged[frags[f][2]])
+                slots.remove(centre)
+                slots.insert(0, centre)
+            ci = st.add([label[v] for v in slots], kind)
+        for i, v in enumerate(slots):
+            if v >= g.n:
+                where[v] = (ci, i)
+    st.tree_edges = [(*where[a], *where[b]) for a, b in kept]
     st.validate()
     return st
-
-
-def _merge_degenerates(components: list[SplitComponent]) -> None:
-    """Merge clique-clique and star(leaf)-star(center) marker pairs."""
-    changed = True
-    while changed:
-        changed = False
-        locator: dict[int, tuple[int, int]] = {}
-        for ci, comp in enumerate(components):
-            for li, lab in enumerate(comp.labels):
-                if is_marker(lab):
-                    locator[lab] = (ci, li)
-        for lab, (ci, li) in list(locator.items()):
-            partner = marker_label(marker_edge(lab), 1 - ((-lab - 1) % 2))
-            if partner not in locator:
-                continue
-            cj, lj = locator[partner]
-            if ci == cj or ci > cj:
-                continue
-            a, b = components[ci], components[cj]
-            mergeable = False
-            if a.kind == COMPLETE and b.kind == COMPLETE:
-                mergeable = True
-            elif a.kind == STAR and b.kind == STAR:
-                # exactly one marker of the pair must sit at a center
-                mergeable = (li == a.center) != (lj == b.center)
-            if not mergeable:
-                continue
-            merged = _contract_pair(a, li, b, lj)
-            merged.classify()
-            components[ci] = merged
-            del components[cj]
-            changed = True
-            break
-
-
-def _contract_pair(a: SplitComponent, la: int,
-                   b: SplitComponent, lb: int) -> SplitComponent:
-    """Undo the split between slot la of a and slot lb of b.
-
-    The slots of a come first, then those of b, each in their order and
-    without the marker.  Slot numbers only grow, and b's follow a's, so
-    every row is written sorted.
-    """
-    off = len(a.labels) - 1
-    pos_a = [i - (i > la) for i in range(len(a.labels))]
-    pos_b = [off + j - (j > lb) for j in range(len(b.labels))]
-    na, nb = a.graph.adj[la], b.graph.adj[lb]
-    across_a, across_b = set(na), set(nb)
-    to_b = [pos_b[j] for j in nb]
-    to_a = [pos_a[i] for i in na]
-    rows = [tuple([pos_a[j] for j in row if j != la]
-                  + (to_b if i in across_a else []))
-            for i, row in enumerate(a.graph.adj) if i != la]
-    rows += [tuple((to_a if j in across_b else [])
-                   + [pos_b[k] for k in row if k != lb])
-             for j, row in enumerate(b.graph.adj) if j != lb]
-    labels = ([lab for i, lab in enumerate(a.labels) if i != la]
-              + [lab for j, lab in enumerate(b.labels) if j != lb])
-    return SplitComponent(labels, Graph.from_rows(rows))
 
 
 # -------------------------------------------------------------------------

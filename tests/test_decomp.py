@@ -11,7 +11,8 @@ from graphdecomp import (FamilySpec, GraphError, build_graph,
                          max_matching_qq3, maximum_matching,
                          modular_decomposition, modular_width, nd_partition,
                          oracle_eccentricities, quotient_graph,
-                         random_degenerate_split_tree, split_decomposition,
+                         random_degenerate_split_tree, random_instance,
+                         split_decomposition,
                          split_tree_from_modular, split_tree_from_nd,
                          split_width, substitute)
 from graphdecomp.classify import (DISC_COCYCLE, DISC_CYCLE, SMALL_PRIME,
@@ -21,7 +22,7 @@ from graphdecomp.families import spiked_qk_edges
 from graphdecomp.modular import FALSE_TWINS, PRIME, TRUE_TWINS
 from graphdecomp.splitdec import STAR, is_marker
 
-from conftest import complete, connected_er, cycle, path, star
+from conftest import ALL_FAMILIES, complete, connected_er, cycle, path, star
 
 
 # -- modular decomposition ---------------------------------------------------
@@ -122,7 +123,7 @@ def test_split_search_matches_brute_force(rng):
     primes = 0
     for _ in range(2500):
         masks = _masks(connected_er(rng, rng.randint(4, 10)))
-        side = splitdec._find_split(masks, len(masks))
+        side = splitdec._find_split(masks, (1 << len(masks)) - 1)
         assert (side is not None) == _has_split(masks), masks
         if side is None:
             primes += 1
@@ -148,7 +149,7 @@ def test_splits_only_the_closure_search_finds():
                                       for v in range(4, 8)])
     for g in (shared, bridged, ends, joined):
         masks = _masks(g)
-        assert _is_split(masks, splitdec._find_split(masks, g.n))
+        assert _is_split(masks, splitdec._find_split(masks, (1 << g.n) - 1))
         st = split_decomposition(g)
         assert st.recompose() == g
         assert sorted(st.prime_orders()) == [5, 5]
@@ -160,16 +161,41 @@ def test_split_search_closure_count(rng, monkeypatch):
     while True:
         masks = _masks(connected_er(rng, 12))
         n = len(masks)
-        if (not splitdec._certify_prime(masks, n, (1 << n) - 1)
+        if (not splitdec._certify_prime(masks, (1 << n) - 1)
                 and not _has_split(masks)):
             break
     calls = []
     closure = splitdec._anchored_closure
     monkeypatch.setattr(splitdec, "_anchored_closure",
                         lambda *args: calls.append(args) or closure(*args))
-    assert splitdec._find_split(masks, n) is None
+    assert splitdec._find_split(masks, (1 << n) - 1) is None
     d = min(m.bit_count() for m in masks)
     assert 0 < len(calls) <= n * (d + 1)
+
+
+def test_split_decomposition_is_canonical(rng):
+    # recomposition, prime components without a split and no mergeable
+    # marker pair together pin Cunningham's unique decomposition
+    graphs = []
+    for _ in range(600):
+        n, p = rng.randint(1, 10), rng.random()
+        graphs.append(build_graph(n, [(u, v) for u in range(n)
+                                      for v in range(u + 1, n)
+                                      if rng.random() < p]))
+    graphs += [random_instance(fam, n, rng).graph
+               for fam in ALL_FAMILIES for n in range(4, 11)]
+    for g in graphs:
+        st = split_decomposition(g)
+        assert st.recompose() == g
+        comps = st.components
+        for comp in comps:
+            if comp.kind == splitdec.PRIME:
+                assert not _has_split(_masks(comp.graph))
+        for ca, la, cb, lb in st.tree_edges:
+            a, b = comps[ca], comps[cb]
+            assert not a.kind == b.kind == splitdec.COMPLETE
+            assert not (a.kind == b.kind == STAR
+                        and (la == a.center) != (lb == b.center))
 
 
 def test_recomposition_identity(rng):
