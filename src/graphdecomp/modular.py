@@ -1,12 +1,27 @@
 """Modular decomposition, modular-width, and the twin-class partition.
 
 The tree follows Gallai's trichotomy: a node is parallel (disconnected),
-series (co-disconnected), or prime (the quotient over the maximal strong
-modules has only trivial modules).  The strong-module computation is a
-partition refinement over neighborhood bitmasks: refining around a pivot
-vertex yields the maximal modules avoiding it, and the pivot's own module
-is recovered as the largest class containing it over refinements around
-representatives of every other class.
+series (co-disconnected), or prime, when its maximal proper modules
+partition it and the quotient over them has only trivial modules.
+
+A prime node's children come from one lemma (Ehrenfeucht, Gabow,
+McConnell and Sullivan, J. Algorithms 1994).  For a pivot u, let D be the
+digraph on the set minus u with an arc x -> y when y, not u or x, is
+adjacent to exactly one of u and x.  The least module that holds u and x
+is u plus every vertex x reaches in D.  So x lies in the maximal proper
+module through u unless it reaches the whole set minus u.  The vertices
+that reach it all reach one another, so they form D's unique source
+strong component C0, and the module is the set minus C0.  C0 is not
+empty, since in a connected, co-connected set that module is proper.
+A sweep of forward searches in D, each from the lowest unvisited vertex,
+ends with a root that no vertex outside its own search reaches.  So the
+root lies in a source component, which is C0, and C0 is the set of
+vertices that reach the root.  The sweep and that backward search each
+cost O(s) bitmask operations over s vertices, so a prime node with k
+children costs k pivots, each on its lowest uncovered vertex.
+
+The driver keeps an explicit stack, so the decomposition does not recurse
+(`MDNode.to_json` still recurses once per tree level).
 """
 
 from __future__ import annotations
@@ -53,33 +68,42 @@ class MDNode:
 def modular_decomposition(g: Graph) -> MDNode:
     if g.n == 0:
         raise GraphError("modular decomposition of the empty graph")
-    return _decompose(tuple(range(g.n)), g)
-
-
-def _decompose(vertices: tuple[int, ...], g: Graph) -> MDNode:
-    if len(vertices) == 1:
-        return MDNode(LEAF, vertices, vertex=vertices[0])
     masks = g.masks()
-    in_set = 0
-    for v in vertices:
-        in_set |= 1 << v
+    root = MDNode(LEAF, tuple(range(g.n)))
+    # every node is pushed as a leaf with its vertex set and its mask,
+    # and takes its kind and children when it is popped
+    stack = [(root, (1 << g.n) - 1)]
+    while stack:
+        node, vs = stack.pop()
+        if len(node.vertices) == 1:
+            node.vertex = node.vertices[0]
+            continue
+        node.kind = PARALLEL
+        parts = _components(masks, vs, complement=False)
+        if len(parts) == 1:
+            node.kind = SERIES
+            parts = _components(masks, vs, complement=True)
+        if len(parts) == 1:
+            node.kind = PRIME
+            parts, covered = [], 0
+            while covered != vs:
+                rest = vs & ~covered
+                u = (rest & -rest).bit_length() - 1
+                mod = _maximal_module(masks, vs, u)
+                if mod & covered:
+                    raise GraphError("strong module computation did not "
+                                     "partition the set")
+                parts.append(mod)
+                covered |= mod
+        node.children = [MDNode(LEAF, tuple(mask_vertices(p))) for p in parts]
+        if node.kind == PRIME:
+            node.quotient = quotient_graph(
+                g, [c.vertices for c in node.children])
+        stack.extend(zip(node.children, parts))
+    return root
 
-    comps = _components(vertices, masks, in_set, complement=False)
-    if len(comps) > 1:
-        children = [_decompose(c, g) for c in comps]
-        return MDNode(PARALLEL, vertices, children)
-    cocomps = _components(vertices, masks, in_set, complement=True)
-    if len(cocomps) > 1:
-        children = [_decompose(c, g) for c in cocomps]
-        return MDNode(SERIES, vertices, children)
 
-    modules = _maximal_strong_modules(vertices, masks, in_set)
-    children = [_decompose(mod, g) for mod in modules]
-    return MDNode(PRIME, vertices, children,
-                  quotient=quotient_graph(g, modules))
-
-
-def _components(vertices, masks, in_set: int, complement: bool):
+def _components(masks, in_set: int, complement: bool) -> list[int]:
     remaining = in_set
     comps = []
     while remaining:
@@ -98,89 +122,35 @@ def _components(vertices, masks, in_set: int, complement: bool):
                 reach = (~masks[v] & ~b) if complement else masks[v]
                 nxt |= reach & remaining
             frontier = nxt & in_set
-        comps.append(tuple(mask_vertices(comp)))
+        comps.append(comp)
     return comps
 
 
-def _refine_around(pivot: int, vertices, masks, in_set: int) -> list[int]:
-    """Coarsest partition of the set minus pivot into modules avoiding pivot.
+def _maximal_module(masks, vs: int, u: int) -> int:
+    """Maximal proper module through u of a connected, co-connected G[vs].
 
-    Classes are bitmasks.  Splitting preserves every module avoiding the
-    pivot, so the fixpoint classes are exactly the maximal ones.
+    The arcs out of x in D go to N(u) ^ N(x); the arcs into x come from
+    N(x), or from its complement when x is a neighbour of u.
     """
-    pbit = 1 << pivot
-    nbrs = masks[pivot] & in_set & ~pbit
-    rest = in_set & ~pbit & ~nbrs
-    classes = [c for c in (nbrs, rest) if c]
-    while True:
-        changed = False
-        for z in mask_vertices(in_set):
-            zadj = masks[z]
-            out = []
-            for cls in classes:
-                if cls >> z & 1:
-                    out.append(cls)
-                    continue
-                inter = cls & zadj
-                if inter and inter != cls:
-                    out.append(inter)
-                    out.append(cls & ~inter)
-                    changed = True
-                else:
-                    out.append(cls)
-            classes = out
-        if not changed:
-            return classes
-
-
-def _min_module_closure(masks, in_set: int, module: int) -> int:
-    """Smallest module containing the given set (forced-vertex fixpoint)."""
-    while True:
-        add = 0
-        rest = in_set & ~module
-        z = rest
-        while z:
-            b = z & -z
-            z ^= b
-            a = masks[b.bit_length() - 1] & module
-            if a and a != module:
-                add |= b
-        if not add:
-            return module
-        module |= add
-        if module == in_set:
-            return module
-
-
-def _maximal_strong_modules(vertices, masks, in_set: int):
-    """Partition into maximal strong modules; the quotient is prime (Gallai).
-
-    Refining around a pivot yields the maximal modules avoiding it; the
-    pivot's own strong module is the union of every proper minimal module
-    through the pivot, probed once per refinement class.
-    """
-    v = vertices[0]
-    classes = _refine_around(v, vertices, masks, in_set)
-    vbit = 1 << v
-    best = vbit
-    for cls in classes:
-        # a class lies fully inside or fully outside the pivot's strong
-        # module, so one whole-class probe settles it
-        if cls & ~best == 0:
-            continue
-        closure = _min_module_closure(masks, in_set, vbit | cls)
-        if closure != in_set:
-            best |= closure
-    modules = [tuple(mask_vertices(best))]
-    for cls in classes:
-        if cls & best:
-            continue
-        modules.append(tuple(mask_vertices(cls)))
-    modules.sort()
-    total = sum(len(m) for m in modules)
-    if total != len(vertices):
-        raise GraphError("strong module computation did not partition the set")
-    return modules
+    nu = masks[u]
+    rest = vs & ~(1 << u)
+    unvisited = rest
+    while unvisited:
+        root = frontier = unvisited & -unvisited
+        while frontier:
+            unvisited &= ~frontier
+            nxt = 0
+            for x in mask_vertices(frontier):
+                nxt |= nu ^ masks[x]
+            frontier = nxt & unvisited
+    seen = frontier = root
+    while frontier:
+        nxt = 0
+        for x in mask_vertices(frontier):
+            nxt |= ~masks[x] if nu >> x & 1 else masks[x]
+        frontier = nxt & rest & ~seen
+        seen |= frontier
+    return vs & ~seen
 
 
 def modular_width(md: MDNode) -> int:

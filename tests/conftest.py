@@ -66,6 +66,14 @@ def alternating_chain_graph(levels):
                                     for w in range(levels - k)])
 
 
+def tree_shape(md):
+    """Each node's kind, vertex set and child vertex sets: equal for two
+    modular trees exactly when they agree up to the order of children."""
+    return {(node.kind, tuple(node.vertices),
+             frozenset(tuple(c.vertices) for c in node.children))
+            for node in md.iter_nodes()}
+
+
 # (start, step, close) of the deep k-expressions: each step wraps the text
 # so far and adds one vertex, labelled 3 while it is the newest
 DEEP_KEXPR_SHAPES = {

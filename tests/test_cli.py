@@ -185,16 +185,30 @@ def test_disconnected_dispatch_per_component(tmp_path):
     assert out.stdout.strip() == "inf"
 
 
-def test_recursion_depth_maps_to_error_line(tmp_path):
+def _threshold_file(tmp_path, n):
     # threshold graph: odd v joined to every earlier vertex; its modular
     # tree is about n deep
-    n = 3000
-    f = tmp_path / "threshold.el"
+    f = tmp_path / f"threshold{n}.el"
     with open(f, "w") as out:
         out.write(f"{n} {sum(v for v in range(1, n, 2))}\n")
         for v in range(1, n, 2):
             out.write("".join(f"{u} {v}\n" for u in range(v)))
-    out = run_cli(["match", "--method", "modular", str(f)])
+    return str(f)
+
+
+def test_recursion_depth_maps_to_error_line(tmp_path):
+    f = _threshold_file(tmp_path, 3000)
+    out = run_cli(["match", "--method", "modular", f])
+    assert out.returncode == 0, out.stderr
+    # the oracle method is blossom
+    want = run_cli(["match", "--method", "oracle", f])
+    assert want.returncode == 0
+    assert out.stdout.splitlines()[-1] == want.stdout.splitlines()[-1]
+    assert out.stdout.endswith("\ncardinality 1500\n")
+    # the decomposition no longer recurses, but printing its tree does:
+    # 600 levels overflow the interpreter's stack
+    out = run_cli(["decompose", "--kind", "modular",
+                   _threshold_file(tmp_path, 600)])
     assert out.returncode == 1
     assert out.stderr.startswith("error:")
     assert "Traceback" not in out.stderr

@@ -69,10 +69,15 @@ def test_every_tree_node_is_a_module(rng):
 
 
 def test_prime_quotients_are_prime(rng):
-    for _ in range(50):
-        n = rng.randint(4, 13)
-        g = connected_er(rng, n)
+    # cycles from C_5, their complements and paths from P_4 are prime:
+    # every child of the root is a leaf, so each vertex is a pivot once
+    primes = [cycle(n) for n in range(5, 13)]
+    primes += [c.complement() for c in primes] + [path(n) for n in range(4, 13)]
+    graphs = primes + [connected_er(rng, rng.randint(4, 13)) for _ in range(50)]
+    for i, g in enumerate(graphs):
         md = modular_decomposition(g)
+        if i < len(primes):
+            assert md.kind == PRIME and md.quotient.n == g.n
         for node in md.iter_nodes():
             if node.kind != PRIME:
                 continue

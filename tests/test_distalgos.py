@@ -5,13 +5,14 @@ from fractions import Fraction
 import pytest
 
 from graphdecomp import (DisconnectedGraphError, FamilySpec, build_graph,
-                         betweenness_nd, betweenness_split,
+                         betweenness_nd, betweenness_split, dp_girth,
                          eccentricities_modular, eccentricities_qq3,
-                         eccentricities_split, gen_family,
+                         eccentricities_split, effective_q, gen_family,
                          hyperbolicity_nd, hyperbolicity_qq3,
-                         hyperbolicity_split,
+                         hyperbolicity_split, kexpr_from_modular,
                          modular_decomposition, modular_width, nd_partition,
-                         oracle_betweenness, oracle_eccentricities,
+                         oracle_betweenness, oracle_cycle_stats,
+                         oracle_eccentricities,
                          oracle_hyperbolicity, random_degenerate_split_tree,
                          random_instance, split_decomposition, split_width,
                          substitute)
@@ -22,7 +23,7 @@ from graphdecomp.modular import SERIES
 from graphdecomp.splitdec import COMPLETE, STAR, SplitTree
 
 from conftest import (ALL_FAMILIES, alternating_chain, alternating_chain_graph,
-                      complete, connected_er, cycle, path, star)
+                      complete, connected_er, cycle, path, star, tree_shape)
 
 
 def mixed_connected_instances(rng, count, max_n, families=None):
@@ -142,13 +143,29 @@ def test_hyp_qq3_class_values():
     assert oracle_hyperbolicity(cc8) == Half(2)
 
 
+def _chain_ecc(g):
+    # vertex n - 1 sees every other vertex, so the diameter is at most 2
+    return [1 if len(g.adj[v]) == g.n - 1 else 2 for v in range(g.n)]
+
+
 def test_hyp_qq3_on_a_deep_modular_chain():
     g = alternating_chain_graph(40)
     assert oracle_hyperbolicity(g, cap=g.n) == Half(1)
-    assert hyperbolicity_qq3(g, alternating_chain(40)) == Half(1)
-    # 1100 nested modules: deeper than Python's default recursion limit
-    g = alternating_chain_graph(1100)
-    assert hyperbolicity_qq3(g, alternating_chain(1100)) == Half(1)
+    assert oracle_eccentricities(g) == _chain_ecc(g)
+    assert oracle_cycle_stats(g)[1] == 3
+    # 1500 nested modules: deeper than Python's default recursion limit;
+    # there the oracles above cost over a minute, and the chain's own
+    # eccentricities and girth stand in for them
+    for levels in (40, 1500):
+        g = alternating_chain_graph(levels)
+        md = modular_decomposition(g)
+        assert tree_shape(md) == tree_shape(alternating_chain(levels))
+        for tree in (alternating_chain(levels), md):
+            assert hyperbolicity_qq3(g, tree) == Half(1)
+        assert eccentricities_modular(g, md) == _chain_ecc(g)
+        assert eccentricities_qq3(g, md) == _chain_ecc(g)
+        assert effective_q(g, md) == 7          # a cograph: no prime node
+        assert dp_girth(kexpr_from_modular(g, md)) == 3
 
 
 def test_hyp_prime_component_above_the_brute_cap():

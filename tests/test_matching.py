@@ -14,7 +14,7 @@ from graphdecomp.matching import match_join
 from graphdecomp.oracles import exhaustive_maximum_matching_size
 
 from conftest import (alternating_chain, alternating_chain_graph, complete,
-                      connected_er, cycle, path)
+                      connected_er, cycle, path, tree_shape)
 
 
 def test_reduce_module_edges_examples():
@@ -360,9 +360,11 @@ def test_prime_ptree_small_cases(rng):
 def test_matchings_walk_a_deep_modular_chain():
     # 1500 nested modules: deeper than Python's default recursion limit
     levels = 1500
-    md = alternating_chain(levels)
     g = alternating_chain_graph(levels)
-    for solve in (max_matching_modular, max_matching_qq3):
-        got = solve(g, md)
-        got.validate(g)
-        assert got.cardinality() == g.n // 2 == 750
+    md = modular_decomposition(g)
+    assert tree_shape(md) == tree_shape(alternating_chain(levels))
+    for tree in (alternating_chain(levels), md):
+        for solve in (max_matching_modular, max_matching_qq3):
+            got = solve(g, tree)
+            got.validate(g)
+            assert got.cardinality() == g.n // 2 == 750
