@@ -2,15 +2,18 @@
 
 Components carry two vertex weights: a path-cost multiplicity alpha (the
 size of the boundary a marker stands for) and an endpoint mass beta (how
-many real vertices it stands for).  Both come from one rule given to
-``SplitTree.reroot``: alpha sums over a slot's neighbours, beta over
-all other slots.  Each component is then solved locally under those
-weights: complete and star components in closed form, prime components
-by one Brandes pass per source, summed in integers over a per-source
-common denominator (``weighted_component_bc``).  A second rule sends the
-corrective terms: a slot passes on its local value plus the terms
-arriving at its neighbours.  A real vertex's betweenness is that same
-sum, the plain Brandes value on the original graph.
+many real vertices it stands for).  Alpha sums over a slot's neighbours,
+so it is ``SplitTree.spread(1, None)``.  Beta comes from one children-first
+pass over the subtree masses: a component's parent slot carries n less the
+real vertices below it, and its partner slot carries those.  Each component
+is then solved locally under those weights: complete and star components
+in closed form, prime components by one Brandes pass per source, summed
+in integers over a per-source common denominator
+(``weighted_component_bc``).  The local values go into one flat list, and
+``spread(0, local)`` sends the corrective terms: a slot passes on its local
+value plus the terms arriving at its neighbours.  What it sends through a
+real vertex's slot is that vertex's betweenness, the plain Brandes value on
+the original graph.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Sequence
 from .graph import DisconnectedGraphError, Graph
 from .modular import NDPartition
 from .splitdec import (COMPLETE, STAR, SplitComponent, SplitTree,
-                       neighbor_sums, split_tree_from_nd)
+                       split_tree_from_nd)
 
 
 def _require_connected(g: Graph) -> None:
@@ -127,36 +130,24 @@ def _component_bc_vector(comp: SplitComponent, alpha: list[int],
 def betweenness_over_tree(g: Graph, st: SplitTree) -> list[Fraction]:
     if g.n == 1:
         return [Fraction(0)]
-    comps = st.components
-
-    def weights(c: int, vals: list[tuple[int, int]],
-                targets: list[int]) -> list[tuple[int, int]]:
-        """(alpha, beta) behind each target: boundary size and mass."""
-        alphas = neighbor_sums(comps[c], [a for a, _ in vals], targets)
-        mass = sum(b for _, b in vals)
-        return [(a, mass - vals[t][1]) for a, t in zip(alphas, targets)]
-
-    _, _, weighted = st.reroot((1, 1), weights)
-    local = []
-    for c, comp in enumerate(comps):
-        vals = weighted(c)
-        local.append(_component_bc_vector(comp, [a for a, _ in vals],
-                                          [b for _, b in vals]))
-
-    def corrective(c: int, vals: list, targets: list[int]) -> list:
-        """Local value plus the corrective terms behind the neighbours."""
-        own = local[c]
-        sums = neighbor_sums(comps[c], vals, targets)
-        return [x + own[t] if own[t] else x for x, t in zip(sums, targets)]
-
-    _, _, arriving = st.reroot(0, corrective)
-    out: list[Fraction] = [Fraction(0)] * g.n
-    for c, comp in enumerate(comps):
-        reals = [li for li, lab in enumerate(comp.labels) if lab >= 0]
-        for li, val in zip(reals, corrective(c, arriving(c), reals)):
-            if val:
-                out[comp.labels[li]] = val
-    return out
+    alpha, _ = st.spread(1, None)
+    r = st.rooting
+    lo, land, up_slot = r.lo, r.land, r.up_slot
+    # the real vertices behind each slot, from the subtree counts
+    beta = [1] * lo[-1]
+    for c in reversed(r.order):
+        if up_slot[c] >= 0:
+            up = lo[c] + up_slot[c]
+            below = sum(beta[lo[c]:lo[c + 1]]) - beta[up]
+            beta[land[up]] = below
+            beta[up] = g.n - below
+    own: list[int | Fraction] = []
+    for c, comp in enumerate(st.components):
+        a, b = lo[c], lo[c + 1]
+        own += _component_bc_vector(comp, alpha[a:b], beta[a:b])
+    _, out = st.spread(0, own)
+    zero = Fraction(0)
+    return [x or zero for x in out]
 
 
 def betweenness_split(g: Graph, st: SplitTree) -> list[Fraction]:

@@ -5,10 +5,11 @@ Over a split tree, eccentricities supply one rule to
 of that marker in the graph on its side, less one; a real vertex carries
 0.  Slot t of a component sends out the maximum over the other slots s of
 dist(t, s) + value(s), less one, and a real vertex's eccentricity is that
-maximum itself.  Complete components need only the top two values, stars
-the top two leaf values plus the center, prime components one BFS per
-slot; each slot is a target once per call, so a prime component's
-distance table is built once.  The modular variants solve only the
+maximum itself: one more than what reroot sends through its slot.
+Complete components need only the top two values, stars the top two leaf
+values plus the center, prime components one BFS per slot; each slot is
+a target once per call, so a prime component's distance table is built
+once.  The modular variants solve only the
 quotient: inner graphs carry a universal marker vertex, so their diameter
 is at most two and a per-vertex universality test settles them.
 """
@@ -55,13 +56,8 @@ def eccentricities_split(g: Graph, st: SplitTree) -> list[Distance]:
                            for s in range(len(vals)) if s != t) - 1)
         return out
 
-    _, _, arriving = st.reroot(0, rule)
-    out: list[Distance] = [0] * g.n
-    for c, comp in enumerate(comps):
-        reals = [li for li, lab in enumerate(comp.labels) if lab >= 0]
-        for li, val in zip(reals, rule(c, arriving(c), reals)):
-            out[comp.labels[li]] = val + 1
-    return out
+    _, out = st.reroot(0, rule)
+    return [val + 1 for val in out]
 
 
 def _top2(indices, e) -> tuple[int, int]:

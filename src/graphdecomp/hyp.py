@@ -3,12 +3,18 @@
 The split scheme: the hyperbolicity of the whole graph is the maximum of
 every prime component's own value and, per tree edge, a gap term that
 depends only on whether each side's boundary is a clique and on the
-boundary sizes.  Both come from one rule given to
-``SplitTree.reroot``, over (boundary size, boundary is a clique)
-pairs.  A boundary is a clique exactly when its marker is simplicial in
-its side graph: the marker is simplicial in its own component and every
-neighbouring marker's boundary is a clique.  A boundary's size is the sum
-of its neighbours' sizes, where a real vertex counts one.
+boundary sizes.  Both are read at the two slots of each tree edge after
+two ``SplitTree.spread`` passes, so no rule is given.  A boundary's size is
+the sum of its neighbours' sizes, where a real vertex counts one:
+``spread(1, None)``.  A boundary is a clique exactly when its marker is
+simplicial in its side graph: the marker is simplicial in its own
+component and every neighbouring marker's boundary is a clique.  So
+``spread(0, own)``, with ``own`` 1 at each slot not simplicial in its
+component, sends through a marker the count own(t) + sum of the counts at
+t's neighbours, where a real vertex counts 0.  Every term is non-negative,
+so the count is 0 exactly when t is simplicial and every neighbour's count
+is 0; by induction from the real vertices, exactly when the boundary is a
+clique.
 
 A prime component's own value comes from ``component_delta``: above
 ``_BRUTE_CAP`` vertices it first tries two exact shortcuts (a block graph
@@ -33,7 +39,7 @@ from .distances import Half
 from .graph import (DisconnectedGraphError, Graph, bfs_distances,
                     simplicial_vertices)
 from .modular import MDNode, NDPartition
-from .splitdec import (COMPLETE, PRIME, STAR, SplitTree, neighbor_sums,
+from .splitdec import (COMPLETE, PRIME, STAR, SplitTree,
                        split_tree_from_modular, split_tree_from_nd)
 
 _BRUTE_CAP = 44
@@ -193,35 +199,27 @@ def hyperbolicity_over_tree(st: SplitTree) -> Half:
             return Half(0)
         return component_delta(comps[0].graph)
     best = Half(0)
-    prime_simplicial: dict[int, set[int]] = {}
-    for c, comp in enumerate(comps):
+    open_slot: list[int] = []   # 1 at a slot not simplicial in its component
+    for comp in comps:
+        size = len(comp.labels)
         if comp.kind == PRIME:
-            prime_simplicial[c] = simplicial_vertices(comp.graph)
+            simplicial = simplicial_vertices(comp.graph)
+            open_slot += [int(t not in simplicial) for t in range(size)]
             d = component_delta(comp.graph)
             if best < d:
                 best = d
-
-    def rule(c: int, vals: list[tuple[int, bool]],
-             targets: list[int]) -> list[tuple[int, bool]]:
-        """(boundary size, boundary is a clique) behind each target."""
-        comp = comps[c]
-        sizes = neighbor_sums(comp, [size for size, _ in vals], targets)
-        open_nbrs = neighbor_sums(comp, [not clique for _, clique in vals],
-                                  targets)
-        if comp.kind == COMPLETE:
-            simplicial = [True] * len(targets)
-        elif comp.kind == STAR:
-            simplicial = [t != comp.center for t in targets]
         else:
-            simplicial = [t in prime_simplicial[c] for t in targets]
-        return [(size, simp and not bad)
-                for size, bad, simp in zip(sizes, open_nbrs, simplicial)]
-
-    down, up, _ = st.reroot((1, True), rule)
-    for (c_size, c_clique), (d_size, d_clique) in zip(down, up):
-        if not c_clique and not d_clique:
+            # a star's centre is its one slot that is not simplicial
+            open_slot += [int(t == comp.center) for t in range(size)]
+    sizes, _ = st.spread(1, None)
+    opens, _ = st.spread(0, open_slot)
+    lo = st.rooting.lo
+    for ca, la, cb, lb in st.tree_edges:
+        a, b = lo[ca] + la, lo[cb] + lb
+        a_clique, b_clique = not opens[a], not opens[b]
+        if not a_clique and not b_clique:
             gap = Half(2)
-        elif min(c_size, d_size) >= 2 and (c_clique != d_clique):
+        elif min(sizes[a], sizes[b]) >= 2 and a_clique != b_clique:
             gap = Half(1)
         else:
             gap = Half(0)

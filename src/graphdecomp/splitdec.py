@@ -14,9 +14,14 @@ alone writes the tree format.  Every builder, whether
 ``split_decomposition``, the kernel trees ``split_tree_from_nd`` and
 ``split_tree_from_modular``, or a generator, appends components with
 ``SplitTree.add`` and ends with ``SplitTree.validate``, the one place a tree
-is checked and rooted.  The rooting is kept as flat int arrays (``Rooting``),
-so ecc, hyp and bc share it through ``SplitTree.reroot`` at no per-component
-list cost.
+is checked and rooted.  The rooting is one flat slot table (``Rooting``):
+the slots of all components are numbered together, and ``land`` says where
+a value sent out through a slot arrives, at the partner marker or at a real
+vertex.  Over that table ``SplitTree.reroot`` sends a value through every
+slot by a per-component rule (ecc), and ``SplitTree.spread`` sends a slot's
+own value plus the sum of the values at its neighbours with no rule at all
+(hyp and bc): a complete or star component gets every such sum from its
+slice total, a prime one from the slot's adjacency row.
 
 The split search (``_find_split``) first takes the splits that need no
 search: a twin pair, or a pendant vertex with its neighbour.  A cycle of
@@ -104,20 +109,31 @@ class SplitComponent:
 class Rooting(NamedTuple):
     """A split tree, each tree rooted at its lowest component, as int arrays.
 
-    ``order`` lists the components parents first.  ``parent_edge[c]`` is
-    the tree edge from c to its parent (-1 at a root) and ``up_slot[c]``
-    the slot of c on that edge.  The children of c sit at positions
-    ``child_lo[c]`` to ``child_hi[c] - 1`` of ``child_edge`` (the tree
-    edge to the child) and ``child_slot`` (the slot of c on that edge).
+    ``order`` lists the components parents first, and ``up_slot[c]`` is
+    the slot of c towards its parent (-1 at a root).  The slots of all
+    components form one flat table: those of component c are ``lo[c]``
+    to ``lo[c + 1] - 1``.  A value sent out through global slot g arrives
+    at ``land[g]``: the partner slot of a marker, or ``~v`` for a slot
+    holding real vertex v.
     """
     trees: int
     order: array
-    parent_edge: array
     up_slot: array
-    child_lo: array
-    child_hi: array
-    child_edge: array
-    child_slot: array
+    lo: array
+    land: array
+
+    def sends(self):
+        """(component, slots to send through): first each parent slot,
+        children first, then every other slot, parents first."""
+        up_slot, lo = self.up_slot, self.lo
+        for c in reversed(self.order):
+            if up_slot[c] >= 0:
+                yield c, (up_slot[c],)
+        for c in self.order:
+            targets = list(range(lo[c + 1] - lo[c]))
+            if up_slot[c] >= 0:
+                del targets[up_slot[c]]
+            yield c, targets
 
 
 @dataclass
@@ -200,13 +216,21 @@ class SplitTree:
 
     def _root(self) -> Rooting:
         """Depth-first rooting of every tree of the forest, lowest first."""
-        ncomp = len(self.components)
+        comps = self.components
+        ncomp = len(comps)
         edges = self.tree_edges
+        lo = array("i", [0]) * (ncomp + 1)
+        for c, comp in enumerate(comps):
+            lo[c + 1] = lo[c] + len(comp.labels)
+        # a marker's entry is overwritten by its partner slot below
+        land = array("i", [~lab for comp in comps for lab in comp.labels])
         # the tree edges at each component, in CSR form and edge order
         start = array("i", [0]) * (ncomp + 1)
-        for ca, _, cb, _ in edges:
+        for ca, la, cb, lb in edges:
             start[ca + 1] += 1
             start[cb + 1] += 1
+            land[lo[ca] + la] = lo[cb] + lb
+            land[lo[cb] + lb] = lo[ca] + la
         for c in range(ncomp):
             start[c + 1] += start[c]
         fill = start[:ncomp]
@@ -215,11 +239,8 @@ class SplitTree:
             for c in (ca, cb):
                 incident[fill[c]] = e
                 fill[c] += 1
-        order, child_edge, child_slot = array("i"), array("i"), array("i")
-        parent_edge = array("i", [-1]) * ncomp
+        order = array("i")
         up_slot = array("i", [-1]) * ncomp
-        child_lo = array("i", [0]) * ncomp
-        child_hi = array("i", [0]) * ncomp
         seen = bytearray(ncomp)
         trees = 0
         for root in range(ncomp):
@@ -231,74 +252,85 @@ class SplitTree:
             while stack:
                 c = stack.pop()
                 order.append(c)
-                child_lo[c] = len(child_edge)
                 for e in incident[start[c]:start[c + 1]]:
                     ca, la, cb, lb = edges[e]
-                    other, here, there = (cb, la, lb) if ca == c else (ca, lb, la)
+                    other, there = (cb, lb) if ca == c else (ca, la)
                     if seen[other]:
                         continue
                     seen[other] = 1
-                    parent_edge[other] = e
                     up_slot[other] = there
-                    child_edge.append(e)
-                    child_slot.append(here)
                     stack.append(other)
-                child_hi[c] = len(child_edge)
         if len(edges) != ncomp - trees:
             raise GraphError("tree edges close a cycle")
-        return Rooting(trees, order, parent_edge, up_slot, child_lo, child_hi,
-                       child_edge, child_slot)
+        return Rooting(trees, order, up_slot, lo, land)
 
-    def reroot(self, real, rule):
-        """Send one value across every tree edge in each direction.
-
-        Every slot of a component carries a value: ``real`` for a slot
-        holding a real vertex, and for a marker slot the value sent to the
-        component across that marker's tree edge.  ``rule(c, vals,
-        targets)`` gets the values at the slots of component c and returns,
-        for each slot t in targets, the value c sends out through t.  It
-        must not read ``vals[t]``: in the first pass the slot towards the
-        root still holds ``real``.
-
-        The first pass visits children before parents and fills
-        ``down[e]``, the value the child side of tree edge e sends to the
-        parent side; the second pass fills ``up[e]``, sent the other way.
-        Returns ``(down, up, arriving)``, where ``arriving(c)`` lists the
-        final values at the slots of c.  Called on the real slots of c
-        with ``arriving(c)``, the rule gives the per-vertex readout.
-        """
+    def _start(self, real) -> tuple[Rooting, list]:
+        """The rooting, checked, and one list holding ``real`` for every
+        value: slot g's at index g, real vertex v's at index ~v (from the
+        end), so a value sent through slot g lands at ``land[g]``."""
         r = self.rooting
         if r is None:
             raise GraphError("split tree is not rooted; validate() it first")
         if r.trees != 1:
             raise GraphError("split tree is a forest; root one tree at a time")
+        return r, [real] * (r.lo[-1] + self.n)
+
+    def reroot(self, real, rule):
+        """Send one value across every tree edge in each direction.
+
+        Every slot of a component carries a value: ``real`` for a slot
+        holding a real vertex, and for a marker slot the value sent to it
+        from across that marker's tree edge.  ``rule(c, vals, targets)``
+        gets the values at the slots of component c and returns, for each
+        slot t in targets, the value c sends out through t.  It must not
+        read ``vals[t]``: in the first pass the slot towards the root still
+        holds ``real``.
+
+        Returns ``(arrived, out)``: ``arrived[lo[c] + t]`` is the value at
+        slot t of component c, and ``out[v]`` the value sent out through
+        the slot of real vertex v, which is the per-vertex readout.
+        """
+        r, arrived = self._start(real)
+        lo, land = r.lo, r.land
+        for c, targets in r.sends():
+            a = lo[c]
+            for t, val in zip(targets, rule(c, arrived[a:lo[c + 1]], targets)):
+                arrived[land[a + t]] = val
+        return arrived[:lo[-1]], arrived[lo[-1]:][::-1]
+
+    def spread(self, real, own):
+        """``reroot`` for neighbour sums, in closed form and with no rule.
+
+        Through slot t, component c sends ``own[lo[c] + t]`` (nothing if
+        ``own`` is None) plus the sum of the values at the neighbours of
+        t.  A complete component sends its slice total less the value at
+        t; a star's centre sends the total less its own value and a leaf
+        the centre's value; a prime component sums over t's adjacency
+        row.  Zero values are skipped, so slots that carry 0 cost no
+        arithmetic.  Returns ``(arrived, out)`` as ``reroot`` does.
+        """
+        r, arrived = self._start(real)
+        lo, land = r.lo, r.land
         comps = self.components
-        parent_edge, up_slot = r.parent_edge, r.up_slot
-        child_lo, child_hi = r.child_lo, r.child_hi
-        child_edge, child_slot = r.child_edge, r.child_slot
-        down = [real] * len(self.tree_edges)
-        up = [real] * len(self.tree_edges)
-
-        def arriving(c: int) -> list:
-            vals = [real] * len(comps[c].labels)
-            for i in range(child_lo[c], child_hi[c]):
-                vals[child_slot[i]] = down[child_edge[i]]
-            e = parent_edge[c]
-            if e >= 0:
-                vals[up_slot[c]] = up[e]
-            return vals
-
-        for c in reversed(r.order):
-            e = parent_edge[c]
-            if e >= 0:
-                down[e] = rule(c, arriving(c), [up_slot[c]])[0]
-        for c in r.order:
-            lo, hi = child_lo[c], child_hi[c]
-            if lo < hi:
-                outs = rule(c, arriving(c), child_slot[lo:hi].tolist())
-                for e, val in zip(child_edge[lo:hi], outs):
-                    up[e] = val
-        return down, up, arriving
+        for c, targets in r.sends():
+            a = lo[c]
+            vals = arrived[a:lo[c + 1]]
+            comp = comps[c]
+            prime = comp.kind == PRIME
+            total = 0 if prime else sum(filter(None, vals))
+            centre = comp.center
+            for t in targets:
+                if prime:
+                    val = sum(filter(None, map(vals.__getitem__,
+                                               comp.graph.adj[t])))
+                elif centre >= 0 and t != centre:
+                    val = vals[centre]
+                else:
+                    val = total - vals[t] if vals[t] else total
+                if own is not None and own[a + t]:
+                    val += own[a + t]
+                arrived[land[a + t]] = val
+        return arrived[:lo[-1]], arrived[lo[-1]:][::-1]
 
     def recompose(self) -> Graph:
         """Undo every simple decomposition; certifies the tree."""
@@ -365,24 +397,6 @@ class SplitTree:
 def split_width(st: SplitTree) -> int:
     """Max prime component order, floored at 2."""
     return max([2] + st.prime_orders())
-
-
-def neighbor_sums(comp: SplitComponent, vals: list, targets: list[int]) -> list:
-    """For each target slot t, the sum of vals over the neighbours of t.
-
-    Degenerate components answer every target from one total.  Zero values
-    are skipped, so slots that carry 0 cost no arithmetic.
-    """
-    if comp.kind == PRIME:
-        adj = comp.graph.adj
-        return [sum(vals[s] for s in adj[t] if vals[s]) for t in targets]
-    total = sum(v for v in vals if v)
-    if comp.kind == STAR:
-        r = comp.center
-        at_r = vals[r]
-        leaves = total - at_r if at_r else total
-        return [leaves if t == r else at_r for t in targets]
-    return [total - vals[t] if vals[t] else total for t in targets]
 
 
 # -------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 import graphdecomp
 from graphdecomp import build_graph
 from graphdecomp.modular import LEAF, PARALLEL, SERIES, MDNode
+from graphdecomp.splitdec import COMPLETE, STAR, SplitTree
 
 # environment for CLI subprocesses: they import the package from where the
 # tests found it
@@ -72,6 +73,31 @@ def tree_shape(md):
     return {(node.kind, tuple(node.vertices),
              frozenset(tuple(c.vertices) for c in node.children))
             for node in md.iter_nodes()}
+
+
+def with_real_vertices(st):
+    """Number every slot left unlinked as a real vertex, then validate."""
+    for comp in st.components:
+        for i, lab in enumerate(comp.labels):
+            if lab is None:
+                comp.labels[i] = st.n
+                st.n += 1
+    st.validate()
+    return st
+
+
+def caterpillar_split_tree(rng, length):
+    """A path of star and complete components of 3 to 5 slots; a star's
+    path markers sit at its center or at its leaves."""
+    st = SplitTree(n=0)
+    parent, parent_kind = None, None
+    for _ in range(length):
+        kind = STAR if parent_kind == COMPLETE else rng.choice((COMPLETE, STAR))
+        size = rng.randint(3, 5)
+        up, down = rng.sample(range(size), 2)
+        ci = st.add([None] * size, kind, parent=parent, up=up)
+        parent, parent_kind = (ci, down), kind
+    return with_real_vertices(st)
 
 
 # (start, step, close) of the deep k-expressions: each step wraps the text

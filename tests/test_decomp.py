@@ -19,10 +19,12 @@ from graphdecomp.classify import (DISC_COCYCLE, DISC_CYCLE, SMALL_PRIME,
                                   SPIKED_PK, SPIKED_QK, SPIKED_QK_BAR,
                                   THICK_SPIDER, THIN_SPIDER, is_prime)
 from graphdecomp.families import spiked_qk_edges
+from graphdecomp.graph import simplicial_vertices
 from graphdecomp.modular import FALSE_TWINS, PRIME, TRUE_TWINS
 from graphdecomp.splitdec import STAR, is_marker
 
-from conftest import ALL_FAMILIES, complete, connected_er, cycle, path, star
+from conftest import (ALL_FAMILIES, caterpillar_split_tree, complete,
+                      connected_er, cycle, path, star)
 
 
 # -- modular decomposition ---------------------------------------------------
@@ -285,10 +287,60 @@ def test_reroot_needs_one_validated_tree():
     with pytest.raises(GraphError,
                        match="split tree is a forest; root one tree at a time"):
         forest.reroot(0, lambda c, vals, targets: [0] * len(targets))
+    with pytest.raises(GraphError,
+                       match="split tree is a forest; root one tree at a time"):
+        forest.spread(1, None)
     st = splitdec.SplitTree(n=3)
     st.add([0, 1, 2], splitdec.COMPLETE)
     with pytest.raises(GraphError, match="not rooted"):
         st.reroot(0, lambda c, vals, targets: [0] * len(targets))
+    with pytest.raises(GraphError, match="not rooted"):
+        st.spread(1, None)
+
+
+def _real_vertices_behind(st, edge, comp):
+    """The real vertices on comp's side of the tree edge ``edge``."""
+    nbrs = {}
+    for e, (ca, _, cb, _) in enumerate(st.tree_edges):
+        if e != edge:
+            nbrs.setdefault(ca, []).append(cb)
+            nbrs.setdefault(cb, []).append(ca)
+    side, stack = {comp}, [comp]
+    while stack:
+        for d in nbrs.get(stack.pop(), ()):
+            if d not in side:
+                side.add(d)
+                stack.append(d)
+    return {lab for c in side for lab in st.components[c].labels if lab >= 0}
+
+
+def test_spread_sums_frontiers_against_brute_force(rng):
+    trees = [split_decomposition(connected_er(rng, rng.randint(2, 12)))
+             for _ in range(300)]
+    trees += [random_degenerate_split_tree(rng.randint(3, 40), rng)
+              for _ in range(30)]
+    trees += [caterpillar_split_tree(rng, rng.randint(2, 12))
+              for _ in range(30)]
+    for st in trees:
+        g = st.recompose()
+        masks = g.masks()
+        lo = st.rooting.lo
+        not_simplicial = [int(t not in simplicial_vertices(comp.graph))
+                          for comp in st.components
+                          for t in range(len(comp.labels))]
+        sizes, degrees = st.spread(1, None)
+        opens, _ = st.spread(0, not_simplicial)
+        assert degrees == [g.degree(v) for v in range(g.n)]
+        for e, (ca, la, cb, lb) in enumerate(st.tree_edges):
+            # the value at a marker slot comes from the far side's frontier
+            for slot, far in ((lo[ca] + la, cb), (lo[cb] + lb, ca)):
+                behind = _real_vertices_behind(st, e, far)
+                far_mask = sum(1 << v for v in behind)
+                frontier = [v for v in behind if masks[v] & ~far_mask]
+                assert sizes[slot] == len(frontier)
+                clique = all(g.has_edge(u, v)
+                             for u, v in combinations(frontier, 2))
+                assert (opens[slot] == 0) == clique
 
 
 # -- neighbourhood diversity -------------------------------------------------

@@ -23,7 +23,8 @@ from graphdecomp.modular import SERIES
 from graphdecomp.splitdec import COMPLETE, STAR, SplitTree
 
 from conftest import (ALL_FAMILIES, alternating_chain, alternating_chain_graph,
-                      complete, connected_er, cycle, path, star, tree_shape)
+                      caterpillar_split_tree, complete, connected_er, cycle,
+                      path, star, tree_shape, with_real_vertices)
 
 
 def mixed_connected_instances(rng, count, max_n, families=None):
@@ -351,31 +352,6 @@ def test_split_and_modular_agree_everywhere(rng):
 # -- hand-built split trees --------------------------------------------------
 
 
-def with_real_vertices(st):
-    """Number every slot left unlinked as a real vertex, then validate."""
-    for comp in st.components:
-        for i, lab in enumerate(comp.labels):
-            if lab is None:
-                comp.labels[i] = st.n
-                st.n += 1
-    st.validate()
-    return st
-
-
-def caterpillar_split_tree(rng, length):
-    """A path of star and complete components of 3 to 5 slots; a star's
-    path markers sit at its center or at its leaves."""
-    st = SplitTree(n=0)
-    parent, parent_kind = None, None
-    for _ in range(length):
-        kind = STAR if parent_kind == COMPLETE else rng.choice((COMPLETE, STAR))
-        size = rng.randint(3, 5)
-        up, down = rng.sample(range(size), 2)
-        ci = st.add([None] * size, kind, parent=parent, up=up)
-        parent, parent_kind = (ci, down), kind
-    return with_real_vertices(st)
-
-
 def wide_split_tree(rng, markers):
     """A complete component and a star each carrying ``markers`` child
     markers, besides the edge between them; a few children have a child
@@ -420,3 +396,27 @@ def test_wide_degenerate_components(rng):
     st = wide_split_tree(rng, 30)
     g = _check_split_tree(st, hyp_cap=st.n)
     assert g.n >= 120
+
+
+def path_split_tree(n):
+    """The split tree of the path 0 - 1 - ... - n-1: a chain of n - 2
+    three-slot stars, star i centred on vertex i between its two
+    neighbours, each joined to the next leaf to leaf."""
+    st = SplitTree(n=n)
+    parent = None
+    for i in range(1, n - 1):
+        ci = st.add([i, i - 1, i + 1], STAR, parent=parent, up=1)
+        parent = (ci, 2)
+    st.validate()
+    return st
+
+
+def test_deep_path_split_tree_closed_forms():
+    n = 20_000
+    st = path_split_tree(n)
+    assert len(st.components) == n - 2
+    g = path(n)
+    assert eccentricities_split(g, st) == [max(i, n - 1 - i)
+                                           for i in range(n)]
+    assert betweenness_split(g, st) == [i * (n - 1 - i) for i in range(n)]
+    assert hyperbolicity_split(g, st) == Half(0)
