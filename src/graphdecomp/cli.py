@@ -34,15 +34,19 @@ from .splitdec import split_decomposition, split_width
 HYP_ORACLE_CAP = 40
 
 
-def _load_graph(path: str) -> Graph:
-    # comments may hold any bytes: both forms decode alike, in any locale
+def _read_text(path: str) -> str:
+    # any bytes decode, alike from a file or stdin and in any locale: an
+    # edge-list comment may hold them, and in a k-expression a stray one
+    # meets the parser's positioned error
     if path == "-":
         sys.stdin.reconfigure(encoding="utf-8", errors="surrogateescape")
-        text = sys.stdin.read()
-    else:
-        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-            text = fh.read()
-    return read_edgelist(text)
+        return sys.stdin.read()
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        return fh.read()
+
+
+def _load_graph(path: str) -> Graph:
+    return read_edgelist(_read_text(path))
 
 
 def _emit_rows(args, header: list[str], rows: list[list]) -> None:
@@ -158,7 +162,7 @@ def cmd_match(args) -> int:
 
 def cmd_cycles(args) -> int:
     if args.expr:
-        source, method = parse_kexpr(open(args.expr).read()), "cw"
+        source, method = parse_kexpr(_read_text(args.expr)), "cw"
     else:
         source, method = _load_graph(args.graph), args.method
     print(METHODS[args.command][method](source, None))

@@ -24,20 +24,24 @@ own value plus the sum of the values at its neighbours with no rule at all
 slice total, a prime one from the slot's adjacency row.
 
 The split search (``_find_split``) first takes the splits that need no
-search: a twin pair, or a pendant vertex with its neighbour.  A cycle of
-length >= 5 is prime, and so is a graph that ``_certify_prime`` grows from
-an induced P4 one vertex at a time without creating a twin or a pendant.
-Otherwise a closure search decides.  A closure starts from a seed side and
-one outside anchor and pulls in every vertex whose view of the side is
-neither empty nor the anchor's.  At its fixpoint the side is a split if
-both sides hold at least 2 vertices; and if the seed lies in one side A of a
-split (A, B) and the anchor is a vertex of B with a neighbour in A, the side
-never leaves A, so the closure finds a split.  With x of least degree d,
-the seeds N[x] (anchors outside N[x]) and {x, y} for every y != x (anchors
-in N(x) - {y}) meet every split: if x has no neighbour across, N[x] lies on
-x's side; otherwise N(x) holds the whole frontier across.  So a component
-costs fewer than n(d + 1) closures of O(n^2) mask operations each, and the
-search is complete: it returns None only on prime graphs.
+search: a twin pair, or a pendant vertex with its neighbour; and a cycle of
+length >= 5 is prime.  Otherwise Cunningham's closures decide (Decomposition
+of directed graphs, SIAM J. Algebraic Discrete Methods 1982).  A closure
+starts from a seed side and one outside anchor and pulls in every vertex
+whose view of the side is neither empty nor the anchor's.  At its fixpoint
+the side is a split if both sides hold at least 2 vertices; and if the seed
+lies in one side A of a split (A, B) and the anchor is a vertex of B with a
+neighbour in A, the side never leaves A, so the closure finds a split.
+With x of least degree d, the seeds N[x] (anchors outside N[x]) and
+{x, y} for every y != x (anchors in N(x) - {y}) meet every split: if x has
+no neighbour across, N[x] lies on x's side; otherwise N(x) holds the whole
+frontier across.  Once the side holds a neighbour of the anchor, a vertex
+is pulled in exactly when one vertex of the side has an arc to it, so a
+closure is a frontier search, and all the seeds {x, y} of one anchor are
+settled at once by a strong-component test, the sweep of
+``modular._maximal_module`` with the arcs reversed.  So a component costs d
+such tests and n - d - 1 closures of O(n) mask operations each, O(n^2) in
+all, and the search is complete: it returns None only on prime graphs.
 
 ``split_decomposition`` keeps one adjacency table, a neighbourhood mask
 per id, for the whole run.  Real vertices keep their ids; each split
@@ -408,20 +412,21 @@ def _find_split(table: list[int], vs: int) -> int | None:
 
     The graph is the one ``table`` induces on the vertex set ``vs``, whose
     rows lie inside ``vs``; the side is a subset of ``vs``.  Twin pairs and
-    pendant vertices give a split at once.  A cycle of length >= 5 is
-    prime, and so is a graph certified by ``_certify_prime``: adding a
-    vertex to a connected split-prime graph can create only splits with a
-    twin-pair or pendant side.  Otherwise a two-case closure search
-    decides, with x a vertex of least degree d:
+    pendant vertices give a split at once, and a cycle of length >= 5 is
+    prime.  Otherwise closures (``_anchored_closure``) decide, with x a
+    vertex of least degree d, in two cases:
 
     (i)  seed N[x], anchor every vertex outside N[x];
-    (ii) for every y != x, seed {x, y}, anchor every vertex of N(x) - {y}.
+    (ii) seed {x, y} for every y != x, anchor every vertex of N(x) - {y}.
 
-    Soundness.  At the fixpoint of ``_anchored_closure`` every outside
-    vertex sees either nothing of the side or exactly the anchor's view of
-    it, and in a connected graph that view is not empty; so the crossing
-    edges form a complete join, and the side is a split when both sides
-    hold at least 2 vertices.
+    Case (ii) runs first, one ``_anchor_split`` per anchor a in N(x): it
+    settles the seeds {x, y} of a, y != x, a, at once.
+
+    Soundness.  At the fixpoint of a closure every outside vertex sees
+    either nothing of the side or exactly the anchor's view of it, and in
+    a connected graph that view is not empty; so the crossing edges form a
+    complete join, and the side is a split when both sides hold at least 2
+    vertices.
 
     Invariant.  Let (A, B) be a split with the seed inside A and the anchor
     a frontier vertex of B (one with a neighbour in A).  While the side S
@@ -436,8 +441,8 @@ def _find_split(table: list[int], vs: int) -> int | None:
     in exactly B's frontier; case (ii) with any y in A - {x} anchors it.
     Either way some closure returns a split, so None means prime.
 
-    Cost.  At most (n - d - 1) + (n - 1)d < n(d + 1) closures, each
-    O(n^2) mask operations.
+    Cost.  d anchor tests and n - d - 1 closures, each O(n) operations on
+    n-bit masks: O(n^2) mask operations in all.
     """
     n = vs.bit_count()
     if n < 4:
@@ -460,155 +465,109 @@ def _find_split(table: list[int], vs: int) -> int | None:
         if table[v].bit_count() == 1:
             return (1 << v) | table[v]
 
-    # a single cycle of length >= 5 is prime; its path prefixes all carry
-    # pendants, so the growth certificate below cannot see it
+    # a single cycle of length >= 5 is prime
     if n >= 5 and all(table[v].bit_count() == 2 for v in verts):
         return None
 
-    if _certify_prime(table, vs):
-        return None
-
     x = min(verts, key=lambda v: table[v].bit_count())
-    xb, nx = 1 << x, table[x]
-    cases = [(nx | xb, vs & ~(nx | xb))]
-    cases += [(xb | yb, nx & ~yb) for yb in _bits(vs & ~xb)]
-    for seed, anchors in cases:
-        for db in _bits(anchors):
-            side = _anchored_closure(table, vs, seed, db)
-            if side is not None:
-                return side
+    closed_x = table[x] | 1 << x
+    for a in mask_vertices(table[x]):
+        side = _anchor_split(table, vs, x, a)
+        if side is not None:
+            return side
+    for a in mask_vertices(vs & ~closed_x):
+        side = _anchored_closure(table, vs, closed_x, a)
+        if side is not None:
+            return side
     return None
 
 
-def _certify_prime(table: list[int], vs: int) -> bool:
-    """True only if the graph on ``vs`` is provably split-prime.
-
-    Grows a connected induced prefix from an induced P4; a prefix without
-    twin pairs or degree-one vertices is split-prime whenever its
-    predecessor was.  False means "unknown" and the caller falls back to
-    the exhaustive sweep.
-    """
-    seeds = _induced_p4s(table, vs, limit=2)
-    ascending = list(mask_vertices(vs))
-    by_degree = sorted(ascending, key=lambda v: (-table[v].bit_count(), v))
-    for seed in seeds:
-        for order in (ascending, by_degree):
-            if _grow_prime_chain(table, vs, seed, order,
-                                 budget=10 * len(ascending)):
-                return True
-    return False
-
-
-def _grow_prime_chain(table, vs: int, seed, order, budget: int) -> bool:
-    # the P4 seed is prime by shape; 2-freeness applies from size 5 on
-    prefix = 0
-    for v in seed:
-        prefix |= 1 << v
-    remaining = vs & ~prefix
-    while remaining:
-        frontier = remaining & _nbhd(table, prefix)
-        advanced = False
-        for v in order:
-            if not (frontier >> v) & 1:
-                continue
-            budget -= 1
-            if budget < 0:
-                return False
-            cand = prefix | (1 << v)
-            if _prefix_two_free(table, cand):
-                prefix = cand
-                remaining &= ~(1 << v)
-                advanced = True
-                break
-        if not advanced:
-            return False
-    return True
-
-
-def _nbhd(table: list[int], vertex_set: int) -> int:
-    out = 0
-    s = vertex_set
-    while s:
-        b = s & -s
-        s ^= b
-        out |= table[b.bit_length() - 1]
-    return out & ~vertex_set
-
-
-def _prefix_two_free(table: list[int], prefix: int) -> bool:
-    seen_open: set[int] = set()
-    seen_closed: set[int] = set()
-    s = prefix
-    while s:
-        b = s & -s
-        s ^= b
-        row = table[b.bit_length() - 1] & prefix
-        if row.bit_count() <= 1:
-            return False
-        if row in seen_open or (row | b) in seen_closed:
-            return False
-        seen_open.add(row)
-        seen_closed.add(row | b)
-    return True
-
-
-def _induced_p4s(table: list[int], vs: int,
-                 limit: int) -> list[tuple[int, ...]]:
-    out = []
-    for b in mask_vertices(vs):
-        nb = table[b]
-        cs = nb
-        while cs:
-            cb = cs & -cs
-            cs ^= cb
-            c = cb.bit_length() - 1
-            a_pool = nb & ~table[c] & ~cb
-            d_pool = table[c] & ~nb & ~(1 << b)
-            ab = a_pool
-            while ab:
-                abit = ab & -ab
-                ab ^= abit
-                a = abit.bit_length() - 1
-                dd = d_pool & ~table[a]
-                if dd:
-                    d = (dd & -dd).bit_length() - 1
-                    out.append((a, b, c, d))
-                    if len(out) >= limit:
-                        return out
-                    break
-            if len(out) >= limit:
-                return out
-    return out
-
-
 def _anchored_closure(table: list[int], vs: int,
-                      seed: int, anchor_bit: int) -> int | None:
-    side = seed
-    d0 = anchor_bit.bit_length() - 1
-    while True:
-        view0 = table[d0] & side
-        outside = vs & ~side & ~anchor_bit
-        moved = 0
-        w = outside
-        while w:
-            b = w & -w
-            w ^= b
-            view = table[b.bit_length() - 1] & side
-            if view and view != view0:
-                moved |= b
-        if not moved:
-            break
-        side |= moved
+                      seed: int, a: int) -> int | None:
+    """The closure of ``seed`` with anchor a, or None unless it and its
+    complement both hold at least 2 vertices.
+
+    A vertex w outside the side S, other than a, is pulled in when its
+    view of S is neither empty nor a's view; the closure is the side at
+    which no vertex is pulled in.  A pulled vertex lies in every such
+    closed side T that holds S and not a: its view of T is not empty, so
+    it is a's view of T, and then its view of S would be a's view of S.
+    So any order of pulling ends at the same least closed side holding
+    the seed.
+
+    Pairwise lemma.  Let S hold a vertex z adjacent to a.  Then w is
+    pulled in exactly when some s in S has an arc s -> w: w ~ z and s tells
+    w from a (s ~ w != s ~ a), or w !~ z and s ~ w.  Proof: if w ~ z, w's
+    view of S is not empty, so it differs from a's view exactly when some
+    s tells them apart.  If w !~ z, w's view misses z while a's view holds
+    it, so it differs exactly when it is not empty.  While S holds no
+    neighbour of a, a's view is empty, so w is pulled in exactly when it
+    has a neighbour in S.
+
+    So the closure is a frontier search.  The arcs out of s go to N(s) if
+    s !~ a and to N(s) ^ N(z) if s ~ a.  z is fixed when the side first
+    meets N(a), before any neighbour of a is expanded; a vertex expanded
+    earlier is not a neighbour of a, and its arcs N(s) hold for every z.
+    So each vertex is expanded once: O(n) mask operations.
+    """
+    na = table[a]
+    rest = vs & ~(1 << a)
+    side = frontier = seed
+    nz = None                   # N(z), once the side meets N(a)
+    while frontier:
+        if nz is None and frontier & na:
+            nz = table[(frontier & na).bit_length() - 1]
+        reach = 0
+        for s in mask_vertices(frontier):
+            reach |= table[s] ^ nz if na >> s & 1 else table[s]
+        frontier = reach & rest & ~side
+        side |= frontier
     if side.bit_count() < 2 or (vs & ~side).bit_count() < 2:
         return None
     return side
 
 
-def _bits(mask: int):
-    while mask:
-        b = mask & -mask
-        mask ^= b
-        yield b
+def _anchor_split(table: list[int], vs: int, x: int, a: int) -> int | None:
+    """A split side holding x and not its neighbour a, or None if no split
+    separates them.
+
+    Anchor lemma.  Let W = V - {x, a}, with the arcs of the pairwise lemma
+    (``_anchored_closure``) for z = x: from s to N(s) ^ N(x) if s ~ a,
+    else to N(s).  x has no out-arcs, so the closure of {x, y} with anchor
+    a, for y in W, is {x} plus what y reaches in W; it is a split side
+    unless y reaches all of W.  So some seed {x, y} gives a split exactly
+    when the digraph on W is not strongly connected.  By the invariant of
+    ``_find_split``, a split (A, B) with x in A and a in B gives one: a is
+    a frontier vertex of B, and the seed {x, y} for y in A - {x} stays in A.
+
+    The arcs into w come from N(w) ^ N(a) if w ~ x, else from N(w).
+    Searches along them, each from the lowest vertex not yet visited,
+    visit all of W; let r be the last root.  A vertex that r reaches was
+    visited by r's own search: an earlier search that visited it would
+    have visited r too.  So it reaches r back, and what r reaches is a
+    sink component C.  The side is {x} + C, the closure of {x, r}, unless
+    C = W.  This is ``modular._maximal_module``'s sweep with the arcs
+    reversed: O(n) mask operations.
+    """
+    nx, na = table[x], table[a]
+    rest = vs & ~(1 << x | 1 << a)
+    unvisited = rest
+    while unvisited:
+        root = frontier = unvisited & -unvisited
+        while frontier:
+            unvisited &= ~frontier
+            reach = 0
+            for w in mask_vertices(frontier):
+                reach |= table[w] ^ na if nx >> w & 1 else table[w]
+            frontier = reach & unvisited
+    sink = frontier = root
+    while frontier:
+        reach = 0
+        for s in mask_vertices(frontier):
+            reach |= table[s] ^ nx if na >> s & 1 else table[s]
+        frontier = reach & rest & ~sink
+        sink |= frontier
+    return None if sink == rest else sink | 1 << x
 
 
 # -------------------------------------------------------------------------

@@ -81,6 +81,23 @@ def test_expression_parse_error_has_position(tmp_path):
     assert out.stderr.startswith("error: parse error at position 2:")
 
 
+def test_expression_file_is_read_closed_and_decoded(tmp_path):
+    # under -X dev a file left open adds a ResourceWarning to stderr, and a
+    # stray byte reaches the parser rather than the decoder
+    good, stray = tmp_path / "ok.kx", tmp_path / "stray.kx"
+    good.write_text("(v(1)+v(2))")
+    stray.write_bytes(b"(v(1)+v(2))\xe9")
+    for command in ("girth", "triangles"):
+        for path, expect in ((good, (0, "")), (stray, (1, (
+                "error: parse error at position 11: "
+                "trailing input after expression\n")))):
+            out = subprocess.run(
+                [sys.executable, "-X", "dev", "-m", "graphdecomp.cli",
+                 command, "--expr", str(path)], env=CLI_ENV,
+                capture_output=True, text=True, timeout=300)
+            assert (out.returncode, out.stderr) == expect, command
+
+
 def test_cycle_stats_from_deep_expression(tmp_path):
     expr = tmp_path / "deep.kx"
     expr.write_text(deep_kexpr_text("cycle"))

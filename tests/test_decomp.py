@@ -163,21 +163,76 @@ def test_splits_only_the_closure_search_finds():
 
 
 def test_split_search_closure_count(rng, monkeypatch):
-    # on a prime graph that the growth certificate leaves open, the closure
-    # search runs to the end: at most n(d + 1) closures, d the least degree
+    # on a prime graph that is not a cycle the search runs to the end: one
+    # anchor test per neighbour of x and one closure per vertex outside
+    # N[x], x of least degree d
     while True:
         masks = _masks(connected_er(rng, 12))
-        n = len(masks)
-        if (not splitdec._certify_prime(masks, (1 << n) - 1)
+        if (any(m.bit_count() != 2 for m in masks)
                 and not _has_split(masks)):
             break
-    calls = []
-    closure = splitdec._anchored_closure
-    monkeypatch.setattr(splitdec, "_anchored_closure",
-                        lambda *args: calls.append(args) or closure(*args))
+    n = len(masks)
+    calls = {"_anchor_split": 0, "_anchored_closure": 0}
+    for name in calls:
+        def counted(*args, name=name, fn=getattr(splitdec, name)):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(splitdec, name, counted)
     assert splitdec._find_split(masks, (1 << n) - 1) is None
     d = min(m.bit_count() for m in masks)
-    assert 0 < len(calls) <= n * (d + 1)
+    assert calls == {"_anchor_split": d, "_anchored_closure": n - d - 1}
+
+
+def _closure_by_rounds(masks, vs, seed, a):
+    """Reference: each round pulls in every vertex whose view of the side
+    is neither empty nor the anchor's, until a round pulls in none."""
+    side = seed
+    while True:
+        view_a = masks[a] & side
+        moved = 0
+        for w in range(len(masks)):
+            view = masks[w] & side
+            if ((vs & ~side) >> w & 1 and w != a
+                    and view and view != view_a):
+                moved |= 1 << w
+        if not moved:
+            break
+        side |= moved
+    if side.bit_count() < 2 or (vs & ~side).bit_count() < 2:
+        return None
+    return side
+
+
+def test_closure_search_matches_the_round_loop(rng):
+    for _ in range(15000):
+        n, p = rng.randint(4, 11), rng.random()
+        masks = _masks(build_graph(n, [(u, v) for u in range(n)
+                                       for v in range(u + 1, n)
+                                       if rng.random() < p]))
+        vs = (1 << n) - 1
+        a = rng.randrange(n)
+        seed = rng.randrange(1, 1 << n) & ~(1 << a)
+        if seed:
+            assert splitdec._anchored_closure(masks, vs, seed, a) == \
+                _closure_by_rounds(masks, vs, seed, a), (masks, seed, a)
+
+
+def test_anchor_split_matches_brute_force(rng):
+    for _ in range(300):
+        masks = _masks(connected_er(rng, rng.randint(4, 11)))
+        n = len(masks)
+        sides = [side for side in range(1, (1 << n) - 1)
+                 if _is_split(masks, side)]
+        for x in range(n):
+            for a in range(n):
+                if not masks[x] >> a & 1:
+                    continue
+                side = splitdec._anchor_split(masks, (1 << n) - 1, x, a)
+                expect = any(s >> x & 1 and not s >> a & 1 for s in sides)
+                assert (side is not None) == expect, (masks, x, a)
+                if side is not None:
+                    assert side >> x & 1 and not side >> a & 1
+                    assert _is_split(masks, side), (masks, x, a)
 
 
 def test_split_decomposition_is_canonical(rng):
