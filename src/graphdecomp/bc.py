@@ -9,19 +9,22 @@ real vertices below it, and its partner slot carries those.  Each component
 is then solved locally under those weights: complete and star components
 in closed form, prime components by one Brandes pass per source, summed
 in integers over a per-source common denominator
-(``weighted_component_bc``).  The local values go into one flat list, and
-``spread(0, local)`` sends the corrective terms: a slot passes on its local
-value plus the terms arriving at its neighbours.  What it sends through a
-real vertex's slot is that vertex's betweenness, the plain Brandes value on
-the original graph.
+(``weighted_component_bc``).  A pass runs no BFS: its order and its
+shortest-path DAG are read off the component's distance table
+(``Graph.distances``), the one ecc and hyp read.  The local values go into
+one flat list, and ``spread(0, local)`` sends the corrective terms: a slot
+passes on its local value plus the terms arriving at its neighbours.  What
+it sends through a real vertex's slot is that vertex's betweenness, the
+plain Brandes value on the original graph.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
 
+from .distances import UNREACHABLE
 from .graph import DisconnectedGraphError, Graph
 from .modular import NDPartition
 from .splitdec import (COMPLETE, STAR, SplitComponent, SplitTree,
@@ -33,7 +36,7 @@ def _require_connected(g: Graph) -> None:
         raise DisconnectedGraphError("betweenness needs a connected graph")
 
 
-def weighted_component_bc(adj: Sequence[Sequence[int]], alpha: list[int],
+def weighted_component_bc(g: Graph, alpha: list[int],
                           beta: list[int]) -> list[Fraction]:
     """Exact weighted betweenness inside one small graph.
 
@@ -49,8 +52,11 @@ def weighted_component_bc(adj: Sequence[Sequence[int]], alpha: list[int],
 
     One Brandes pass per source s computes it in integers.  sigma is
     symmetric, so each term is symmetric in s and t, and the sum over
-    ordered pairs (s, t) is twice the sum above.  Fix s, write sigma_s(u)
-    for sigma(s, u) (from one BFS; sigma_s(s) = alpha(s)), and let
+    ordered pairs (s, t) is twice the sum above.  Fix s and take the row
+    of s in the distance table: sorted by distance it is a BFS order, and
+    w is a successor of u in the BFS DAG of s exactly when u and w are
+    adjacent and dist(s, w) = dist(s, u) + 1.  Write sigma_s(u) for
+    sigma(s, u) (summed along that order; sigma_s(s) = alpha(s)), and let
     B_s(v) = sum of beta(t)sigma(v,t)/sigma_s(t) over the t with v
     strictly on a shortest s-t path.  Each such shortest v-t path leaves v
     to a successor w of v in the BFS DAG of s, hence
@@ -73,24 +79,21 @@ def weighted_component_bc(adj: Sequence[Sequence[int]], alpha: list[int],
 
     one Fraction per vertex in place of one per (s, v, t) triple.
     """
-    size = len(adj)
+    size, adj = g.n, g.adj
     num = [0] * size        # numerators over denom
     denom = 1               # D, the lcm of the D_s so far
-    for s in range(size):
-        dist = [-1] * size
-        dist[s] = 0
+    for s, dist in enumerate(g.distances()):
+        order = sorted(range(size), key=dist.__getitem__)
+        # vertices of other components sort last and take no part
+        del order[bisect_left(order, UNREACHABLE, key=dist.__getitem__):]
         sigma = [0] * size
         sigma[s] = 1
         preds: list[list[int]] = [[] for _ in range(size)]
-        order = [s]
         for u in order:
             sigma[u] *= alpha[u]
             su = sigma[u]
             du = dist[u] + 1
             for w in adj[u]:
-                if dist[w] == -1:
-                    dist[w] = du
-                    order.append(w)
                 if dist[w] == du:
                     sigma[w] += su
                     preds[w].append(u)
@@ -124,7 +127,7 @@ def _component_bc_vector(comp: SplitComponent, alpha: list[int],
         out: list[int | Fraction] = [0] * size
         out[r] = Fraction(acc, 2 * alpha[r])
         return out
-    return weighted_component_bc(comp.graph.adj, alpha, beta)
+    return weighted_component_bc(comp.graph, alpha, beta)
 
 
 def betweenness_over_tree(g: Graph, st: SplitTree) -> list[Fraction]:

@@ -200,8 +200,39 @@ def cmd_decompose(args) -> int:
                    "quotient_edges": sorted(ndp.quotient.edges())}
     else:
         raise GraphError(f"unknown decomposition {args.kind!r}")
-    print(json.dumps(payload, separators=(",", ":")))
+    print(_dumps(payload))
     return 0
+
+
+def _dumps(payload) -> str:
+    """``json.dumps(payload, separators=(",", ":"))`` from an explicit stack.
+
+    Dicts and lists of dicts are opened here, so a tree nested through
+    them prints at any depth; any other value is one ``json.dumps`` call.
+    """
+    out = []
+    stack = [(False, payload)]      # (is literal text, item)
+    while stack:
+        text, x = stack.pop()
+        if text:
+            out.append(x)
+        elif isinstance(x, dict):
+            out.append("{")
+            stack.append((True, "}"))
+            for i, (key, value) in reversed(list(enumerate(x.items()))):
+                comma = "," if i else ""
+                stack.append((False, value))
+                stack.append((True, f"{comma}{json.dumps(key)}:"))
+        elif isinstance(x, list) and any(isinstance(e, dict) for e in x):
+            out.append("[")
+            stack.append((True, "]"))
+            for i in range(len(x) - 1, -1, -1):
+                stack.append((False, x[i]))
+                if i:
+                    stack.append((True, ","))
+        else:
+            out.append(json.dumps(x, separators=(",", ":")))
+    return "".join(out)
 
 
 # -- check: algorithm-vs-oracle equality over generated instances ------------

@@ -7,20 +7,22 @@ of that marker in the graph on its side, less one; a real vertex carries
 dist(t, s) + value(s), less one, and a real vertex's eccentricity is that
 maximum itself: one more than what reroot sends through its slot.
 Complete components need only the top two values, stars the top two leaf
-values plus the center, prime components one BFS per slot; each slot is
-a target once per call, so a prime component's distance table is built
-once.  The modular variants solve only the
-quotient: inner graphs carry a universal marker vertex, so their diameter
+values plus the center, prime components the row of each slot in the
+component's distance table (``Graph.distances``), which hyp and bc read
+too.  The modular variants solve only the quotient, by the row maxima of
+its table: inner graphs carry a universal marker vertex, so their diameter
 is at most two and a per-vertex universality test settles them.
 """
 
 from __future__ import annotations
 
+from operator import add
+
 from .classify import (DISC_COCYCLE, DISC_CYCLE, SPIKED_PK, SPIKED_PK_BAR,
                        SPIKED_QK, SPIKED_QK_BAR, THICK_SPIDER, THIN_SPIDER,
                        classify_prime_graph)
 from .distances import Distance
-from .graph import DisconnectedGraphError, Graph, bfs_distances
+from .graph import DisconnectedGraphError, Graph
 from .modular import MDNode, PRIME, SERIES
 from .splitdec import COMPLETE, STAR, SplitTree
 
@@ -49,11 +51,12 @@ def eccentricities_split(g: Graph, st: SplitTree) -> list[Distance]:
             return [vals[x] if t == r
                     else max(at_r, 1 + vals[y if t == x else x])
                     for t in targets]
+        table = comp.graph.distances()
         out = []
         for t in targets:
-            dist = bfs_distances(comp.graph, t)
-            out.append(max(dist[s] + vals[s]
-                           for s in range(len(vals)) if s != t) - 1)
+            sums = list(map(add, table[t], vals))
+            sums[t] = 0     # below every other sum, whose distance is >= 1
+            out.append(max(sums) - 1)
         return out
 
     _, out = st.reroot(0, rule)
@@ -108,11 +111,11 @@ def eccentricities_modular(g: Graph, md: MDNode) -> list[Distance]:
     _require_connected(g)
     if md.is_leaf():
         return [0]
+    return _combine_modular(g, md, _row_maxima)
 
-    def quotient_ecc(quotient: Graph):
-        return [max(bfs_distances(quotient, v)) for v in range(quotient.n)]
 
-    return _combine_modular(g, md, quotient_ecc)
+def _row_maxima(quotient: Graph) -> list[Distance]:
+    return [max(row) for row in quotient.distances()]
 
 
 def eccentricities_qq3(g: Graph, md: MDNode) -> list[Distance]:
@@ -155,4 +158,4 @@ def _quotient_ecc_by_class(quotient: Graph) -> list[int]:
         for name in ("v2", "v4"):
             ecc[roles[name]] = 3
         return ecc
-    return [max(bfs_distances(quotient, v)) for v in range(quotient.n)]
+    return _row_maxima(quotient)

@@ -2,7 +2,9 @@
 
 Vertices are ``0..n-1``; adjacency rows are strictly increasing tuples and
 symmetric.  A parallel bitmask view (one big int per vertex) backs the
-set-algebra used by the decomposition routines.
+set-algebra used by the decomposition routines, and an all-pairs distance
+table (``Graph.distances``) serves every solver that reads distances inside
+a prime component or quotient.  Both are built on first use and kept.
 """
 
 from __future__ import annotations
@@ -24,13 +26,14 @@ class DisconnectedGraphError(GraphError):
 class Graph:
     """Finite simple undirected graph with sorted adjacency lists."""
 
-    __slots__ = ("n", "adj", "m", "_masks")
+    __slots__ = ("n", "adj", "m", "_masks", "_distances")
 
     def __init__(self, n: int, adj: Sequence[tuple[int, ...]], m: int):
         self.n = n
         self.adj = tuple(adj)
         self.m = m
         self._masks: tuple[int, ...] | None = None
+        self._distances: tuple[tuple[Distance, ...], ...] | None = None
 
     @classmethod
     def from_rows(cls, rows: Sequence[tuple[int, ...]]) -> "Graph":
@@ -72,6 +75,27 @@ class Graph:
                 out.append(mask)
             self._masks = tuple(out)
         return self._masks
+
+    def distances(self) -> tuple[tuple[Distance, ...], ...]:
+        """All-pairs hop distances (built lazily): row v is
+        ``bfs_distances(self, v)``, UNREACHABLE off-component.
+
+        One BFS from vertex 0 picks the builder.  If its eccentricity is at
+        most n/8, the diameter is at most n/4 and bit-parallel rounds over
+        the neighbourhood masks win; on longer graphs, such as long cycles,
+        one BFS per source does.  The table holds n^2 entries.
+        """
+        if self._distances is None:
+            first = bfs_distances(self, 0) if self.n else []
+            # UNREACHABLE compares above every int: a disconnected graph
+            # takes the per-source branch
+            if max(first, default=0) <= self.n // 8:
+                rows = _distance_rounds(self)
+            else:
+                rows = [first] + [bfs_distances(self, v)
+                                  for v in range(1, self.n)]
+            self._distances = tuple(map(tuple, rows))
+        return self._distances
 
     # -- derived graphs --------------------------------------------------
 
@@ -198,6 +222,44 @@ def bfs_distances(g: Graph, source: int) -> list[Distance]:
                 dist[w] = du
                 queue.append(w)
     return dist
+
+
+def _distance_rounds(g: Graph) -> list[list[Distance]]:
+    """All-pairs distances by bit-parallel rounds, one per distance.
+
+    ``reach[v]`` is the set of vertices within d of v and ``fresh[v]`` the
+    set at distance exactly d.  A vertex at distance d + 1 from v is at
+    distance d from a neighbour of v, so round d + 1 ORs the neighbours'
+    ``fresh`` sets and keeps what ``reach[v]`` lacks; a pair's distance is
+    the round whose fresh set first holds it.  Each round costs O(n + m)
+    big-int operations of n bits, the rounds stop at the diameter, and the
+    n^2 entries are written once each.
+    """
+    n, adj = g.n, g.adj
+    rows: list[list[Distance]] = [[UNREACHABLE] * n for _ in range(n)]
+    reach = [1 << v for v in range(n)]
+    fresh = reach[:]
+    for v in range(n):
+        rows[v][v] = 0
+    d = 0
+    while any(fresh):
+        d += 1
+        grown = [0] * n
+        for v in range(n):
+            x = 0
+            for w in adj[v]:
+                x |= fresh[w]
+            x &= ~reach[v]
+            if x:
+                grown[v] = x
+                reach[v] |= x
+                row = rows[v]
+                while x:
+                    b = x & -x
+                    x ^= b
+                    row[b.bit_length() - 1] = d
+        fresh = grown
+    return rows
 
 
 def substitute(quotient: Graph, parts: Sequence[Graph]) -> Graph:

@@ -21,23 +21,24 @@ A prime component's own value comes from ``component_delta``: above
 has value 0, and a graph of diameter at most 2 has value 1 or 1/2 by
 whether it holds an induced C4), and otherwise runs ``four_point_delta``,
 the pruned scan of Cohen, Coudert and Lancin (*On computing the Gromov
-hyperbolicity*, ACM JEA 2015).  It sorts the vertex pairs by distance,
-largest first, and compares each pair only with the pairs before it, so
-every quadruple is met in its largest-sum pairing.  If that pairing is
-{u, v}, {x, y} with d(u, v) >= d(x, y), the other two sums add up to at
-least 2 d(u, v), so the larger of them is at least d(u, v) and the
-quadruple's doubled value is at most d(x, y), the distance of the later
-pair.  The scan therefore stops at the first pair whose distance is at
-most ``best``, the doubled value found so far: no quadruple left can beat
-it.  ``oracle_hyperbolicity`` stays the independent reference that the
-tests compare against.
+hyperbolicity*, ACM JEA 2015).  The diameter test and the scan read the
+component's distance table (``Graph.distances``), the one ecc and bc
+read.  The scan sorts the vertex pairs by distance, largest first, and
+compares each pair only with the pairs before it, so every quadruple is
+met in its largest-sum pairing.  If that pairing is {u, v}, {x, y} with
+d(u, v) >= d(x, y), the other two sums add up to at least 2 d(u, v), so
+the larger of them is at least d(u, v) and the quadruple's doubled value
+is at most d(x, y), the distance of the later pair.  The scan therefore
+stops at the first pair whose distance is at most ``best``, the doubled
+value found so far: no quadruple left can beat it.
+``oracle_hyperbolicity`` stays the independent reference that the tests
+compare against.
 """
 
 from __future__ import annotations
 
 from .distances import Half
-from .graph import (DisconnectedGraphError, Graph, bfs_distances,
-                    simplicial_vertices)
+from .graph import DisconnectedGraphError, Graph, simplicial_vertices
 from .modular import MDNode, NDPartition
 from .splitdec import (COMPLETE, PRIME, STAR, SplitTree,
                        split_tree_from_modular, split_tree_from_nd)
@@ -68,7 +69,7 @@ def four_point_delta(g: Graph) -> Half:
         return Half(0)
     # a sum of two distances stays below 2n, within int16 for n < 2**14
     dtype = np.int16 if n < 1 << 14 else np.int32
-    dist = np.array([bfs_distances(g, v) for v in range(n)], dtype=dtype)
+    dist = np.array(g.distances(), dtype=dtype)
     us, vs = np.triu_indices(n, 1)
     d = dist[us, vs]
     order = np.argsort(d, kind="stable")[::-1]
@@ -166,24 +167,13 @@ def _has_induced_c4(g: Graph) -> bool:
     return False
 
 
-def _diameter_at_most_2(g: Graph) -> bool:
-    masks = g.masks()
-    n = g.n
-    for u in range(n):
-        closed = masks[u] | (1 << u)
-        for v in range(u + 1, n):
-            if not (closed >> v) & 1 and not (masks[u] & masks[v]):
-                return False
-    return True
-
-
 def component_delta(g: Graph) -> Half:
     """Hyperbolicity of one split component or quotient graph."""
     if g.n <= _BRUTE_CAP:
         return four_point_delta(g)
     if _is_block_graph(g):
         return Half(0)
-    if _diameter_at_most_2(g):
+    if max(map(max, g.distances())) <= 2:
         return Half(2) if _has_induced_c4(g) else Half(1)
     return four_point_delta(g)
 

@@ -20,8 +20,8 @@ vertices that reach the root.  The sweep and that backward search each
 cost O(s) bitmask operations over s vertices, so a prime node with k
 children costs k pivots, each on its lowest uncovered vertex.
 
-The driver keeps an explicit stack, so the decomposition does not recurse
-(`MDNode.to_json` still recurses once per tree level).
+The driver keeps an explicit stack, so the decomposition does not recurse,
+and neither does ``MDNode.to_json``.
 """
 
 from __future__ import annotations
@@ -55,14 +55,28 @@ class MDNode:
             stack.extend(node.children)
 
     def to_json(self) -> dict:
-        out: dict = {"kind": self.kind, "vertices": list(self.vertices)}
-        if self.kind == LEAF:
-            out["vertex"] = self.vertex
-        else:
-            out["children"] = [c.to_json() for c in self.children]
-        if self.quotient is not None:
-            out["quotient_edges"] = sorted(self.quotient.edges())
-        return out
+        """The tree as nested dicts, built from an explicit stack."""
+        root = _json_shell(self)
+        stack = [(self, root)]
+        while stack:
+            node, out = stack.pop()
+            for child in node.children:
+                shell = _json_shell(child)
+                out["children"].append(shell)
+                stack.append((child, shell))
+        return root
+
+
+def _json_shell(node: MDNode) -> dict:
+    """A node's JSON object, with its children's list left empty."""
+    out: dict = {"kind": node.kind, "vertices": list(node.vertices)}
+    if node.kind == LEAF:
+        out["vertex"] = node.vertex
+    else:
+        out["children"] = []
+    if node.quotient is not None:
+        out["quotient_edges"] = sorted(node.quotient.edges())
+    return out
 
 
 def modular_decomposition(g: Graph) -> MDNode:

@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from graphdecomp import build_graph, write_edgelist
+from graphdecomp import (build_graph, modular_decomposition, read_edgelist,
+                         write_edgelist)
 from graphdecomp.cli import METHODS, main
 
 from conftest import CLI_ENV, cycle, deep_kexpr_text, path
@@ -222,13 +223,23 @@ def test_recursion_depth_maps_to_error_line(tmp_path):
     assert want.returncode == 0
     assert out.stdout.splitlines()[-1] == want.stdout.splitlines()[-1]
     assert out.stdout.endswith("\ncardinality 1500\n")
-    # the decomposition no longer recurses, but printing its tree does:
-    # 600 levels overflow the interpreter's stack
-    out = run_cli(["decompose", "--kind", "modular",
-                   _threshold_file(tmp_path, 600)])
-    assert out.returncode == 1
-    assert out.stderr.startswith("error:")
-    assert "Traceback" not in out.stderr
+    # nor does printing its tree: 600 levels print, and read back under a
+    # raised recursion limit, since json.loads recurses once per level
+    f = _threshold_file(tmp_path, 600)
+    out = run_cli(["decompose", "--kind", "modular", f])
+    assert out.returncode == 0, out.stderr
+    md = modular_decomposition(read_edgelist(open(f).read()))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(10_000)
+    try:
+        assert json.loads(out.stdout) == json.loads(json.dumps(md.to_json()))
+    finally:
+        sys.setrecursionlimit(limit)
+    depth = {id(md): 0}
+    for node in md.iter_nodes():
+        for child in node.children:
+            depth[id(child)] = depth[id(node)] + 1
+    assert max(depth.values()) >= 599
 
 
 def test_flags_only_where_read(spider_file):

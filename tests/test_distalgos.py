@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -17,14 +18,15 @@ from graphdecomp import (DisconnectedGraphError, FamilySpec, build_graph,
                          random_instance, split_decomposition, split_width,
                          substitute)
 from graphdecomp.distances import Half
-from graphdecomp.graph import bfs_distances
+from graphdecomp.graph import Graph
 from graphdecomp.hyp import four_point_delta
 from graphdecomp.modular import SERIES
-from graphdecomp.splitdec import COMPLETE, STAR, SplitTree
+from graphdecomp.splitdec import COMPLETE, PRIME, STAR, SplitTree
 
-from conftest import (ALL_FAMILIES, alternating_chain, alternating_chain_graph,
-                      caterpillar_split_tree, complete, connected_er, cycle,
-                      path, star, tree_shape, with_real_vertices)
+from conftest import (ALL_FAMILIES, PETERSEN, alternating_chain,
+                      alternating_chain_graph, caterpillar_split_tree,
+                      complete, connected_er, cycle, path, star, tree_shape,
+                      with_real_vertices)
 
 
 def mixed_connected_instances(rng, count, max_n, families=None):
@@ -64,14 +66,14 @@ def test_ecc_complete_graph():
 
 
 def test_ecc_series_root_runs_no_bfs(rng, monkeypatch):
-    import graphdecomp.ecc as ecc_mod
     calls = []
+    distances = Graph.distances
 
-    def counted(g, source):
-        calls.append(source)
-        return bfs_distances(g, source)
+    def counted(g):
+        calls.append(g)
+        return distances(g)
 
-    monkeypatch.setattr(ecc_mod, "bfs_distances", counted)
+    monkeypatch.setattr(Graph, "distances", counted)
     for n in (2, 12, 40):
         # the join of two cographs has a series root
         parts = [random_instance("cograph", k, rng).graph for k in (n, 5)]
@@ -257,7 +259,7 @@ def test_bc_weighted_all_ones_is_brandes(rng):
     for _ in range(20):
         g = connected_er(rng, rng.randint(2, 12))
         ones = [1] * g.n
-        got = weighted_component_bc([list(r) for r in g.adj], ones, ones)
+        got = weighted_component_bc(Graph.from_rows(g.adj), ones, ones)
         assert got == oracle_betweenness(g)
 
 
@@ -304,7 +306,7 @@ def test_bc_weighted_kernel_equals_triple_sum(rng):
     for g in graphs:
         adj = [list(r) for r in g.adj]
         alpha, beta = _random_weights(rng, g.n, 50)
-        assert weighted_component_bc(adj, alpha, beta) == \
+        assert weighted_component_bc(Graph.from_rows(adj), alpha, beta) == \
             _triple_sum_bc(adj, alpha, beta)
 
 
@@ -313,7 +315,7 @@ def test_bc_weighted_kernel_past_machine_words(rng):
     # 6-cube: 720 shortest paths between antipodes, alpha up to 1e6
     adj = [[v ^ (1 << b) for b in range(6)] for v in range(64)]
     alpha, beta = _random_weights(rng, 64, 10**6)
-    got = weighted_component_bc(adj, alpha, beta)
+    got = weighted_component_bc(Graph.from_rows(adj), alpha, beta)
     assert max(x.denominator for x in got) > 2**63
     assert got == _triple_sum_bc(adj, alpha, beta)
 
@@ -420,3 +422,42 @@ def test_deep_path_split_tree_closed_forms():
                                            for i in range(n)]
     assert betweenness_split(g, st) == [i * (n - 1 - i) for i in range(n)]
     assert hyperbolicity_split(g, st) == Half(0)
+
+
+def test_split_solvers_build_each_distance_table_once(rng, monkeypatch):
+    import graphdecomp.graph as graph_mod
+    builds = Counter()      # (graph id, builder) -> calls
+
+    def counting(name):
+        real = getattr(graph_mod, name)
+
+        def counted(g, *args):
+            builds[id(g), name] += 1
+            return real(g, *args)
+        return counted
+
+    # a dense prime component past the brute-force cap of hyp, which takes
+    # the bit-parallel branch, and a cycle and the Petersen graph, which
+    # take the per-source one; a star sits between the dense one and C12
+    st = SplitTree(n=0)
+    dense = st.add([None] * 48, graph=connected_er(rng, 48, 0.5, 0.5))
+    hub = st.add([None] * 3, STAR, parent=(dense, 0), up=0)
+    st.add([None] * 12, graph=cycle(12), parent=(hub, 1))
+    st.add([None] * 10, graph=PETERSEN, parent=(dense, 1))
+    with_real_vertices(st)
+    g = st.recompose()
+    want = (oracle_eccentricities(g), oracle_hyperbolicity(g, cap=g.n),
+            oracle_betweenness(g))
+    for name in ("bfs_distances", "_distance_rounds"):
+        monkeypatch.setattr(graph_mod, name, counting(name))
+    got = (eccentricities_split(g, st), hyperbolicity_split(g, st),
+           betweenness_split(g, st))
+    assert got == want
+    primes = [c.graph for c in st.components if c.kind == PRIME]
+    assert len(primes) == 3
+    dense_graph, c12, petersen = primes
+    assert builds == Counter({
+        (id(dense_graph), "bfs_distances"): 1,
+        (id(dense_graph), "_distance_rounds"): 1,
+        (id(c12), "bfs_distances"): 12,
+        (id(petersen), "bfs_distances"): 10})

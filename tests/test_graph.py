@@ -1,12 +1,15 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphdecomp import (GraphError, bfs_distances, build_graph,
-                         read_edgelist, substitute, write_edgelist)
+                         random_instance, read_edgelist, substitute,
+                         write_edgelist)
 from graphdecomp.distances import UNREACHABLE, Half, parse_half
 
-from conftest import complete, cycle, path
+from conftest import ALL_FAMILIES, complete, cycle, path
 
 
 def test_build_k2():
@@ -35,6 +38,36 @@ def test_bfs_examples():
     assert bfs_distances(cycle(5), 0) == [0, 1, 2, 2, 1]
     assert bfs_distances(build_graph(2, []), 0) == [0, UNREACHABLE]
     assert bfs_distances(path(4), 0) == [0, 1, 2, 3]
+
+
+def test_distance_table_equals_bfs_rows(monkeypatch):
+    import graphdecomp.graph as graph_mod
+    rounds = set()      # the graphs built by bit-parallel rounds
+    real = graph_mod._distance_rounds
+
+    def counted(g):
+        rounds.add(id(g))
+        return real(g)
+
+    monkeypatch.setattr(graph_mod, "_distance_rounds", counted)
+    rng = random.Random(19)
+    families = [random_instance(fam, n, rng).graph
+                for fam in ALL_FAMILIES for n in (8, 30, 60)]
+    lines = [f(k) for k in (2, 3, 5, 8, 64, 128, 1024)
+             for f in (path, cycle) if f is path or k >= 3]
+    split = [build_graph(2, []),
+             build_graph(9, [(0, 1), (1, 2), (3, 4), (5, 6), (6, 7)])]
+    for g in families + lines + split + [build_graph(0, []), path(1)]:
+        want = [bfs_distances(g, v) for v in range(g.n)]
+        assert list(map(list, g.distances())) == want
+        assert g.distances() is g.distances()
+        if g.n <= 128:
+            # the rounds alone, on long and disconnected graphs too
+            assert real(g) == want
+    # a short graph takes the bit-parallel branch; paths, cycles and
+    # disconnected graphs take the per-source one
+    assert any(id(g) in rounds for g in families)
+    assert not any(id(g) in rounds for g in lines + split)
 
 
 def test_substitute_examples():
