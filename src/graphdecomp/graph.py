@@ -10,6 +10,7 @@ a prime component or quotient.  Both are built on first use and kept.
 from __future__ import annotations
 
 from collections import deque
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from .distances import UNREACHABLE, Distance
@@ -83,17 +84,19 @@ class Graph:
         One BFS from vertex 0 picks the builder.  If its eccentricity is at
         most n/8, the diameter is at most n/4 and bit-parallel rounds over
         the neighbourhood masks win; on longer graphs, such as long cycles,
-        one BFS per source does.  The table holds n^2 entries.
+        one BFS per source does.  The table holds n^2 entries, and every
+        entry that holds distance d holds the same int object.
         """
         if self._distances is None:
-            first = bfs_distances(self, 0) if self.n else []
+            levels = list(range(self.n + 1))
+            first = bfs_distances(self, 0, levels) if self.n else []
             # UNREACHABLE compares above every int: a disconnected graph
             # takes the per-source branch
             if max(first, default=0) <= self.n // 8:
                 rows = _distance_rounds(self)
             else:
-                rows = [first] + [bfs_distances(self, v)
-                                  for v in range(1, self.n)]
+                rows = chain([first], (bfs_distances(self, v, levels)
+                                       for v in range(1, self.n)))
             self._distances = tuple(map(tuple, rows))
         return self._distances
 
@@ -206,17 +209,24 @@ def mask_vertices(mask: int) -> Iterator[int]:
         yield b.bit_length() - 1
 
 
-def bfs_distances(g: Graph, source: int) -> list[Distance]:
-    """Exact hop distances from ``source``; UNREACHABLE off-component."""
+def bfs_distances(g: Graph, source: int,
+                  levels: Sequence[int] | None = None) -> list[Distance]:
+    """Exact hop distances from ``source``; UNREACHABLE off-component.
+
+    Distance d is stored as ``levels[d]`` if given (a list of 0..n), so
+    that many rows can share one int object per distance.
+    """
+    if levels is None:
+        levels = range(g.n + 1)
     if not (0 <= source < g.n):
         raise GraphError(f"source {source} out of range")
-    dist: list[Distance] = [UNREACHABLE] * g.n
-    dist[source] = 0
-    queue = deque([source])
     adj = g.adj
+    dist: list[Distance] = [UNREACHABLE] * g.n
+    dist[source] = levels[0]
+    queue = deque([source])
     while queue:
         u = queue.popleft()
-        du = dist[u] + 1
+        du = levels[dist[u] + 1]
         for w in adj[u]:
             if dist[w] is UNREACHABLE:
                 dist[w] = du

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 
 from .blossom import Matching, maximum_matching
 from .distances import UNREACHABLE, Distance, Half
@@ -123,7 +124,15 @@ def oracle_hyperbolicity(g: Graph, cap: int = HYPERBOLICITY_CAP) -> Half:
 
 
 def oracle_betweenness(g: Graph) -> list[Fraction]:
-    """Exact Brandes over unordered pairs, with rational accumulation."""
+    """Exact Brandes over unordered pairs, with rational accumulation.
+
+    The classic recurrence delta(v) = sum over successors w of v in the
+    BFS DAG of sigma(v)/sigma(w) (1 + delta(w)), with one Fraction per
+    (source, vertex): each w sends its share (1 + delta(w)) / sigma(w) to
+    its predecessors as a reduced numerator and denominator, and v adds
+    the shares it receives over the product of their distinct denominators
+    before one Fraction normalises sigma(v) times that sum.
+    """
     if not g.is_connected():
         raise DisconnectedGraphError("betweenness requires a connected graph")
     from collections import deque
@@ -147,12 +156,17 @@ def oracle_betweenness(g: Graph) -> list[Fraction]:
                 if dist[w] == dist[u] + 1:
                     sigma[w] += sigma[u]
                     preds[w].append(u)
-        delta = [Fraction(0)] * g.n
+        inbox: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
         for w in reversed(order):
+            num, den = 0, 1             # delta(w) = num / den
+            if inbox[w]:
+                den = prod({q for _, q in inbox[w]})
+                num = sigma[w] * sum(p * (den // q) for p, q in inbox[w])
+            share = Fraction(den + num, sigma[w] * den)
             for u in preds[w]:
-                delta[u] += Fraction(sigma[u], sigma[w]) * (1 + delta[w])
-            if w != s:
-                bc[w] += delta[w]
+                inbox[u].append((share.numerator, share.denominator))
+            if w != s and num:
+                bc[w] += Fraction(num, den)
     return [x / 2 for x in bc]
 
 

@@ -240,6 +240,19 @@ def test_four_point_delta_memory_is_bounded():
     assert value == Half.of_int(50)     # delta(C200) = 200 / 4
 
 
+def test_distance_table_memory_is_bounded():
+    g = cycle(1024)
+    tracemalloc.start()
+    try:
+        g.distances()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 1024 tuples of 1024 pointers take 8.4 MB; one int object per
+    # distance adds 14 kB, one per entry would add 15 MB
+    assert peak < 9 << 20, peak
+
+
 # -- betweenness -------------------------------------------------------------
 
 
@@ -292,22 +305,47 @@ def _triple_sum_bc(adj, alpha, beta):
     return out
 
 
+def test_bc_oracle_equals_triple_sum(rng):
+    graphs = [connected_er(rng, rng.randint(2, 30)) for _ in range(20)]
+    graphs += [random_instance(fam, rng.randint(6, 30), rng).graph
+               for fam in ALL_FAMILIES]
+    graphs += [cycle(13), PETERSEN, _thick_spider(5)]
+    for g in graphs:
+        if g.is_connected():
+            ones = [1] * g.n
+            assert oracle_betweenness(g) == \
+                _triple_sum_bc([list(r) for r in g.adj], ones, ones)
+
+
 def _random_weights(rng, n, hi):
     return ([rng.randint(1, hi) for _ in range(n)],
             [rng.randint(1, hi) for _ in range(n)])
 
 
 def test_bc_weighted_kernel_equals_triple_sum(rng):
-    from graphdecomp.bc import weighted_component_bc
+    from graphdecomp import bc
     graphs = [connected_er(rng, rng.randint(3, 25)) for _ in range(40)]
     graphs += [random_instance(fam, rng.randint(6, 25), rng).graph
                for fam in ALL_FAMILIES for _ in range(3)]
-    graphs += [build_graph(1, []), build_graph(2, [(0, 1)])]
-    for g in graphs:
+    graphs += [cycle(12), _thick_spider(6)]
+    misses = Counter()
+    for g in graphs + [build_graph(1, []), build_graph(2, [(0, 1)])]:
         adj = [list(r) for r in g.adj]
-        alpha, beta = _random_weights(rng, g.n, 50)
-        assert weighted_component_bc(Graph.from_rows(adj), alpha, beta) == \
-            _triple_sum_bc(adj, alpha, beta)
+        for hi in (1, 50, 10**6):
+            alpha, beta = _random_weights(rng, g.n, hi)
+            want = _triple_sum_bc(adj, alpha, beta)
+            assert bc.weighted_component_bc(Graph.from_rows(adj), alpha,
+                                            beta) == want
+            # both routines, whichever the cost rule picks
+            assert bc._brandes_by_source(Graph.from_rows(adj), alpha,
+                                         beta) == want
+            got = _level_path(Graph.from_rows(adj), alpha, beta)
+            if got is None:
+                misses[hi] += 1
+            else:
+                assert got == want
+    # unit weights stay in the float range, weights up to 10^6 mostly not
+    assert misses[1] == 0 and misses[10**6] >= len(graphs) // 2
 
 
 def test_bc_weighted_kernel_past_machine_words(rng):
@@ -318,6 +356,116 @@ def test_bc_weighted_kernel_past_machine_words(rng):
     got = weighted_component_bc(Graph.from_rows(adj), alpha, beta)
     assert max(x.denominator for x in got) > 2**63
     assert got == _triple_sum_bc(adj, alpha, beta)
+
+
+def _thick_spider(legs):
+    """S = 0..legs-1 stable, K = legs..2legs-1 a clique, s_i ~ k_j iff
+    i != j."""
+    edges = [(legs + i, legs + j) for i in range(legs)
+             for j in range(i + 1, legs)]
+    edges += [(i, legs + j) for i in range(legs) for j in range(legs)
+              if i != j]
+    return build_graph(2 * legs, edges)
+
+
+def _level_path(g, alpha, beta):
+    import numpy as np
+    from graphdecomp import bc
+    dist = np.array(g.distances())
+    return bc._brandes_by_level(dist, alpha, beta, int(dist.max()))
+
+
+def test_bc_level_path_at_two_to_the_53():
+    from graphdecomp import bc
+    adj = [[1], [0, 2], [1]]
+    # sigma(0, 2) = 3 * 3002399751580331 = 2^53 + 1
+    alpha, beta = [1, 3, 3002399751580331], [1, 1, 1]
+    assert _level_path(Graph.from_rows(adj), alpha, beta) is None
+    assert bc.weighted_component_bc(Graph.from_rows(adj), alpha, beta) == \
+        _triple_sum_bc(adj, alpha, beta)
+    # the middle vertex's sum over its two ordered pairs is 2 alpha(2):
+    # 2^53 - 2 is exact, 2^53 is not taken as exact
+    for top, exact in ((2**52 - 1, True), (2**52, False)):
+        alpha = [1, 1, top]
+        got = _level_path(Graph.from_rows(adj), alpha, beta)
+        assert (got is not None) == exact
+        assert bc.weighted_component_bc(Graph.from_rows(adj), alpha,
+                                        beta) == \
+            _triple_sum_bc(adj, alpha, beta)
+
+
+def _count_paths(monkeypatch):
+    from graphdecomp import bc
+    seen = {"level": [], "miss": 0, "loop": []}
+    by_level, by_source = bc._brandes_by_level, bc._brandes_by_source
+
+    def level(dist, alpha, beta, diam):
+        out = by_level(dist, alpha, beta, diam)
+        seen["level"].append(len(dist))
+        seen["miss"] += out is None
+        return out
+
+    def source(g, alpha, beta):
+        seen["loop"].append(g)
+        return by_source(g, alpha, beta)
+
+    monkeypatch.setattr(bc, "_brandes_by_level", level)
+    monkeypatch.setattr(bc, "_brandes_by_source", source)
+    return seen
+
+
+def test_bc_kernel_path_choice(monkeypatch):
+    from graphdecomp.bc import weighted_component_bc
+    seen = _count_paths(monkeypatch)
+    rng = random.Random(20)
+    for fam in ALL_FAMILIES:
+        for _ in range(4):
+            g = random_instance(fam, rng.randint(20, 50), rng).graph
+            if g.is_connected():
+                betweenness_split(g, split_decomposition(g))
+                betweenness_nd(g, nd_partition(g))
+    # no silent fallback, and only the long prime paths of spiked P_k
+    # (diameter k - 3 or more) are left to the loop
+    assert seen["miss"] == 0 and len(seen["level"]) >= 60
+    assert all(g.n <= 2 or max(map(max, g.distances())) >= g.n - 3
+               for g in seen["loop"])
+    seen["level"].clear()
+    seen["loop"].clear()
+    ones = [1] * 512
+    weighted_component_bc(cycle(512), ones, ones)
+    assert not seen["level"] and len(seen["loop"]) == 1
+
+
+def test_bc_kernel_disconnected_and_tiny(monkeypatch):
+    from graphdecomp.bc import weighted_component_bc
+    seen = _count_paths(monkeypatch)
+    two_parts = substitute(build_graph(2, []), [cycle(5), _thick_spider(3)])
+    for g in (two_parts, build_graph(1, []), build_graph(2, []),
+              build_graph(2, [(0, 1)])):
+        adj = [list(r) for r in g.adj]
+        alpha, beta = [2] * g.n, [3] * g.n
+        assert weighted_component_bc(g, alpha, beta) == \
+            _triple_sum_bc(adj, alpha, beta)
+    assert not seen["level"] and len(seen["loop"]) == 4
+
+
+def test_bc_kernel_memory_is_bounded(monkeypatch):
+    from graphdecomp.bc import weighted_component_bc
+    import numpy  # noqa: F401  (imported first: the peak is the kernel's own)
+    seen = _count_paths(monkeypatch)
+    for g, bound in ((random_instance("er", 150, random.Random(3)).graph,
+                      3 << 19), (_thick_spider(100), 2 << 20)):
+        g.distances()
+        ones = [1] * g.n
+        tracemalloc.start()
+        try:
+            weighted_component_bc(g, ones, ones)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (g.n, peak)
+    # the ER graph's D_s leave the float range; the spider takes levels
+    assert seen["level"] == [150, 200] and seen["miss"] == 1
 
 
 def test_bc_methods_equal_oracle(rng):
