@@ -1,10 +1,17 @@
-"""Clique-width expressions: AST, parsing, evaluation, and the cycle DPs.
+"""Clique-width expressions: programs, parsing, evaluation, and the cycle DPs.
 
 An expression builds a labeled graph with four operations: introduce a
 vertex with a label, disjoint union, join two label classes, rename a
-label.  The triangle-counting and girth dynamic programs run over an
-irredundant expression (every join adds only absent edges), maintaining
-per-label-pair tables:
+label.  A ``KExpression`` is one immutable program, the operations in
+evaluation order on a stack of graphs.  It is checked once, when built
+(positive labels, distinct labels in a join or rename, operands for every
+operation, one graph left), and keeps its largest label; the readers loop
+once over it and check nothing again.  The parser repeats the label
+checks only to give their position in the text.
+
+The triangle-counting and girth dynamic programs run over an irredundant
+expression (every join adds only absent edges), maintaining per-label-pair
+tables:
 
   sizes[p]   vertices currently labeled p
   mtab[p][q] edges with one end labeled p and the other labeled q
@@ -31,7 +38,7 @@ Grammar (whitespace-insensitive):  expr := "v(" INT ")" | "(" expr "+" expr ")"
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .distances import UNREACHABLE, Distance
 from .graph import Graph, build_graph
@@ -42,7 +49,11 @@ class KExprError(ValueError):
 
 
 class RedundantExpressionError(KExprError):
-    """A join touched a label pair that already carried an edge."""
+    """A join (kept on ``join``) touched a label pair that had an edge."""
+
+    def __init__(self, message: str, join: "Join"):
+        super().__init__(message)
+        self.join = join
 
 
 @dataclass(frozen=True)
@@ -52,68 +63,69 @@ class Intro:
 
 @dataclass(frozen=True)
 class Union:
-    left: "KExpression"
-    right: "KExpression"
+    pass
 
 
 @dataclass(frozen=True)
 class Join:
     i: int
     j: int
-    sub: "KExpression"
+    name = "eta"                    # in the text form
 
 
 @dataclass(frozen=True)
 class Rename:
     i: int
     j: int
-    sub: "KExpression"
+    name = "rho"
 
 
-KExpression = Intro | Union | Join | Rename
+@dataclass(frozen=True)
+class KExpression:
+    """A k-expression as a program, checked when built (see above)."""
 
+    ops: tuple
+    max_label: int = field(init=False, repr=False, compare=False)
 
-def validate_kexpr(expr: KExpression) -> int:
-    """Check the labels of every node; returns the largest label."""
-    out = 0
-    for node in iter_postorder(expr):
-        if isinstance(node, Intro):
-            if node.label < 1:
-                raise KExprError("labels are positive integers")
-            out = max(out, node.label)
-        elif isinstance(node, (Join, Rename)):
-            if node.i == node.j:
-                op = "eta" if isinstance(node, Join) else "rho"
-                raise KExprError(f"{op}({node.i},{node.j},...) requires distinct labels")
-            if node.i < 1 or node.j < 1:
-                raise KExprError("labels are positive integers")
-            out = max(out, node.i, node.j)
-    return out
+    def __post_init__(self):
+        ops = tuple(self.ops)
+        largest = 0
+        depth = 0                   # graphs on the stack
+        for t, op in enumerate(ops):
+            kind = type(op)
+            if kind is Intro:
+                if op.label < 1:
+                    raise KExprError("labels are positive integers")
+                largest = max(largest, op.label)
+                depth += 1
+                continue
+            if kind is Union:
+                arity = 2
+            elif kind is Join or kind is Rename:
+                if op.i == op.j:
+                    raise KExprError(f"{op.name}({op.i},{op.j},...) requires "
+                                     "distinct labels")
+                if op.i < 1 or op.j < 1:
+                    raise KExprError("labels are positive integers")
+                largest = max(largest, op.i, op.j)
+                arity = 1
+            else:
+                raise KExprError(f"operation {t}: {op!r} is not an operation")
+            if depth < arity:
+                raise KExprError(f"operation {t}: {op!r} lacks operands")
+            depth += 1 - arity
+        if depth != 1:
+            raise KExprError(f"the program leaves {depth} graphs, not one")
+        object.__setattr__(self, "ops", ops)
+        object.__setattr__(self, "max_label", largest)
 
 
 def iter_postorder(expr: KExpression):
-    stack = [(expr, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            yield node
-            continue
-        stack.append((node, True))
-        if isinstance(node, Union):
-            stack.append((node.right, False))
-            stack.append((node.left, False))
-        elif isinstance(node, (Join, Rename)):
-            stack.append((node.sub, False))
+    return iter(expr.ops)
 
 
 def max_label(expr: KExpression) -> int:
-    out = 0
-    for node in iter_postorder(expr):
-        if isinstance(node, Intro):
-            out = max(out, node.label)
-        elif isinstance(node, (Join, Rename)):
-            out = max(out, node.i, node.j)
-    return out
+    return expr.max_label
 
 
 # -------------------------------------------------------------------------
@@ -121,24 +133,24 @@ def max_label(expr: KExpression) -> int:
 
 
 def serialize_kexpr(expr: KExpression) -> str:
-    parts: list[str] = []
-    # explicit stack of nodes and literal text still to emit, so that deep
-    # expressions do not hit the recursion limit
-    stack: list = [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, str):
-            parts.append(node)
-        elif isinstance(node, Intro):
-            parts.append(f"v({node.label})")
-        elif isinstance(node, Union):
-            parts.append("(")
-            stack += (")", node.right, "+", node.left)
+    # a subexpression's text opens at its first operation, an intro: its
+    # part is its own text followed by the openers that precede it,
+    # innermost first, and is written reversed; ``stack`` holds the part of
+    # each finished subexpression's first intro
+    parts: list = []
+    stack: list[list[str]] = []
+    for op in expr.ops:
+        if isinstance(op, Intro):
+            stack.append([f"v({op.label})"])
+            parts.append(stack[-1])
+            continue
+        if isinstance(op, Union):
+            stack.pop().append("+")
+            stack[-1].append("(")
         else:
-            op = "eta" if isinstance(node, Join) else "rho"
-            parts.append(f"{op}({node.i},{node.j},")
-            stack += (")", node.sub)
-    return "".join(parts)
+            stack[-1].append(f"{op.name}({op.i},{op.j},")
+        parts.append(")")           # reads the same reversed
+    return "".join([text for part in parts for text in reversed(part)])
 
 
 class _Parser:
@@ -175,25 +187,27 @@ class _Parser:
             self.error("expected an integer")
         return int(self.text[start:self.pos])
 
-    def parse_expr(self) -> KExpression:
-        # iterative descent: ``pending`` holds the open unions (left operand
-        # or None) and the open eta/rho headers, innermost last
+    def parse_expr(self) -> list:
+        # iterative descent emitting operations in evaluation order:
+        # ``pending`` holds the open unions (True once past their '+') and
+        # the open eta/rho headers, innermost last
+        ops: list = []
         pending: list = []
         while True:
             c = self.peek()
             if c == "(":
                 self.expect("(")
-                pending.append(None)
+                pending.append(False)
                 continue
             if c in ("e", "r"):
-                name = "eta" if c == "e" else "rho"
-                self.expect(name)
+                kind = Join if c == "e" else Rename
+                self.expect(kind.name)
                 self.expect("(")
                 i = self.parse_int()
                 self.expect(",")
                 j = self.parse_int()
                 self.expect(",")
-                pending.append((name, i, j))
+                pending.append((kind, i, j))
                 continue
             if c != "v":
                 self.error("expected 'v', '(', 'eta' or 'rho'")
@@ -203,36 +217,35 @@ class _Parser:
             self.expect(")")
             if label < 1:
                 self.error("labels are positive integers")
-            expr: KExpression = Intro(label)
+            ops.append(Intro(label))
             while pending:
                 top = pending[-1]
-                if top is None:             # left operand of a union done
+                if top is False:            # left operand of a union done
                     self.expect("+")
-                    pending[-1] = expr
+                    pending[-1] = True
                     break
                 pending.pop()
-                if isinstance(top, tuple):
-                    name, i, j = top
-                    self.expect(")")
-                    if i == j:
-                        self.error(f"{name} requires two distinct labels")
-                    if i < 1 or j < 1:
-                        self.error("labels are positive integers")
-                    expr = (Join if name == "eta" else Rename)(i, j, expr)
-                else:                       # right operand of a union done
-                    self.expect(")")
-                    expr = Union(top, expr)
+                self.expect(")")
+                if top is True:             # right operand of a union done
+                    ops.append(Union())
+                    continue
+                kind, i, j = top
+                if i == j:
+                    self.error(f"{kind.name} requires two distinct labels")
+                if i < 1 or j < 1:
+                    self.error("labels are positive integers")
+                ops.append(kind(i, j))
             else:
-                return expr
+                return ops
 
 
 def parse_kexpr(text: str) -> KExpression:
     parser = _Parser(text)
-    expr = parser.parse_expr()
+    ops = parser.parse_expr()
     parser.skip_ws()
-    if parser.pos != len(text.rstrip()):
+    if parser.pos != len(text):
         parser.error("trailing input after expression")
-    return expr
+    return KExpression(ops)
 
 
 # -------------------------------------------------------------------------
@@ -246,17 +259,16 @@ class LabeledGraph:
 
 
 def eval_kexpr(expr: KExpression) -> LabeledGraph:
-    validate_kexpr(expr)
     adj: list[set[int]] = []
     # postorder evaluation with an explicit value stack: each value maps a
     # label to its vertices; unions and renames move the shorter list into
     # the longer, so each vertex moves O(log n) times
     stack: list[dict[int, list[int]]] = []
-    for node in iter_postorder(expr):
-        if isinstance(node, Intro):
-            stack.append({node.label: [len(adj)]})
+    for op in expr.ops:
+        if isinstance(op, Intro):
+            stack.append({op.label: [len(adj)]})
             adj.append(set())
-        elif isinstance(node, Union):
+        elif isinstance(op, Union):
             right = stack.pop()
             left = stack.pop()
             if len(left) < len(right):
@@ -264,18 +276,18 @@ def eval_kexpr(expr: KExpression) -> LabeledGraph:
             for label, verts in right.items():
                 _add_to_class(left, label, verts)
             stack.append(left)
-        elif isinstance(node, Join):
+        elif isinstance(op, Join):
             classes = stack[-1]
-            vj = classes.get(node.j, ())
-            for u in classes.get(node.i, ()):
+            vj = classes.get(op.j, ())
+            for u in classes.get(op.i, ()):
                 adj[u].update(vj)
                 for w in vj:
                     adj[w].add(u)
         else:
             classes = stack[-1]
-            verts = classes.pop(node.i, None)
+            verts = classes.pop(op.i, None)
             if verts is not None:
-                _add_to_class(classes, node.j, verts)
+                _add_to_class(classes, op.j, verts)
     n = len(adj)
     labels = [0] * n
     for label, verts in stack.pop().items():
@@ -299,11 +311,10 @@ def _add_to_class(classes: dict[int, list[int]], label: int,
 
 def verify_irredundant(expr: KExpression):
     """(True, None) or (False, first redundant Join in evaluation order)."""
-    largest = validate_kexpr(expr)
     try:
-        _CycleDP(expr, largest, girth=False)
+        _CycleDP(expr, girth=False)
     except RedundantExpressionError as exc:
-        return False, exc.args[1]
+        return False, exc.join
     return True, None
 
 
@@ -405,10 +416,8 @@ class _CycleDP:
     columns, and empty ``top`` entries, and no operation changes that.
     """
 
-    def __init__(self, expr: KExpression, largest: int, girth: bool,
-                 trace=None):
-        # ``largest``: the largest label, as ``validate_kexpr`` returns it
-        self.kk = max(1, largest) + 1
+    def __init__(self, expr: KExpression, girth: bool, trace=None):
+        self.kk = expr.max_label + 1
         self.girth = girth
         self.trace = trace
         state = self._run(expr)
@@ -418,17 +427,17 @@ class _CycleDP:
     def _run(self, expr: KExpression) -> "_State":
         stack: list[_State] = []
         counter = 0
-        for node in iter_postorder(expr):
-            if isinstance(node, Intro):
-                stack.append(_State(self.kk, node.label, counter))
+        for op in expr.ops:
+            if isinstance(op, Intro):
+                stack.append(_State(self.kk, op.label, counter))
                 counter += 1
-            elif isinstance(node, Union):
+            elif isinstance(op, Union):
                 s2 = stack.pop()
                 stack.append(self._union(stack.pop(), s2))
-            elif isinstance(node, Rename):
-                stack.append(self._rename(node, stack.pop()))
+            elif isinstance(op, Rename):
+                stack.append(self._rename(op, stack.pop()))
             else:
-                stack.append(self._join(node, stack.pop()))
+                stack.append(self._join(op, stack.pop()))
         return stack.pop()
 
     def _union(self, s1: "_State", s2: "_State") -> "_State":
@@ -459,8 +468,8 @@ class _CycleDP:
                 _extend(s1.top[p], s2.top[p], 0, touched2, s1.sizes)
         return s1
 
-    def _rename(self, expr: Rename, st: "_State") -> "_State":
-        i, j = expr.i, expr.j
+    def _rename(self, op: Rename, st: "_State") -> "_State":
+        i, j = op.i, op.j
         sizes, reps = st.sizes, st.reps
         if not sizes[i]:
             return st
@@ -498,12 +507,12 @@ class _CycleDP:
         top[i] = [()] * self.kk
         return st
 
-    def _join(self, expr: Join, st: "_State") -> "_State":
-        i, j = expr.i, expr.j
+    def _join(self, op: Join, st: "_State") -> "_State":
+        i, j = op.i, op.j
         if st.mtab is not None and st.mtab[i][j] != 0:
             raise RedundantExpressionError(
                 f"join eta({i},{j}) applied to classes already carrying "
-                f"{st.mtab[i][j]} edge(s)", expr)
+                f"{st.mtab[i][j]} edge(s)", op)
         sizes = st.sizes
         si, sj = sizes[i], sizes[j]
         if si == 0 or sj == 0:
@@ -617,12 +626,12 @@ def _two_endpoint_sum(pairs: tuple):
 
 def dp_triangle_count(expr: KExpression) -> int:
     """Triangle count of the evaluated graph; rejects redundant expressions."""
-    return _CycleDP(expr, validate_kexpr(expr), girth=False).tcount
+    return _CycleDP(expr, girth=False).tcount
 
 
 def dp_girth(expr: KExpression, trace=None) -> Distance:
     """Girth of the evaluated graph (UNREACHABLE for forests)."""
-    return _CycleDP(expr, validate_kexpr(expr), girth=True, trace=trace).mu
+    return _CycleDP(expr, girth=True, trace=trace).mu
 
 
 # -------------------------------------------------------------------------
@@ -642,42 +651,35 @@ def kexpr_from_modular(g: Graph, md) -> KExpression:
     """
     from .modular import LEAF, PARALLEL, SERIES
 
-    # postorder over the tree with an explicit stack; ``done`` holds the
-    # expressions of finished subtrees, children in order
-    done: list[KExpression] = []
-    stack = [(md, False)]
+    # the program in tree postorder: ``stack`` holds the nodes still to
+    # expand and the operations that follow a finished child, next on top
+    series_step = (Rename(1, 2), Union(), Join(1, 2), Rename(2, 1))
+    ops: list = []
+    stack: list = [md]
     while stack:
-        node, expanded = stack.pop()
-        if node.kind == LEAF:
-            done.append(Intro(1))
+        item = stack.pop()
+        if isinstance(item, tuple):
+            ops += item
             continue
-        if not expanded:
-            stack.append((node, True))
-            stack.extend((child, False) for child in reversed(node.children))
+        if item.kind == LEAF:
+            ops.append(Intro(1))
             continue
-        exprs = done[len(done) - len(node.children):]
-        del done[len(done) - len(node.children):]
-        expr = exprs[0]
-        if node.kind == PARALLEL:
-            for child_expr in exprs[1:]:
-                expr = Union(expr, child_expr)
-        elif node.kind == SERIES:
-            for child_expr in exprs[1:]:
-                expr = Rename(2, 1, Join(1, 2, Union(expr,
-                                                     Rename(1, 2, child_expr))))
+        children = item.children
+        if item.kind == PARALLEL:
+            steps = [(Union(),)] * (len(children) - 1)
+        elif item.kind == SERIES:
+            steps = [series_step] * (len(children) - 1)
         else:
-            for t, child_expr in enumerate(exprs[1:], start=2):
-                expr = Union(expr, _lift(child_expr, t))
-            for a, b in node.quotient.edges():
-                expr = Join(a + 1, b + 1, expr)
-            for t in range(2, len(exprs) + 1):
-                expr = Rename(t, 1, expr)
-        done.append(expr)
-    return done[0]
-
-
-def _lift(expr: KExpression, label: int) -> KExpression:
-    return Rename(1, label, expr) if label != 1 else expr
+            # child t keeps label t + 1 until the quotient joins are done
+            steps = [(Rename(1, t), Union())
+                     for t in range(2, len(children) + 1)]
+            stack.append(
+                tuple(Join(a + 1, b + 1) for a, b in item.quotient.edges())
+                + tuple(Rename(t, 1) for t in range(2, len(children) + 1)))
+        for child, step in zip(reversed(children), reversed(steps)):
+            stack += (step, child)
+        stack.append(children[0])
+    return KExpression(ops)
 
 
 def kexpr_vertex_order(md) -> list[int]:
@@ -710,22 +712,28 @@ def random_irredundant_kexpr(rng: random.Random, k: int, n: int,
     if k < 2 or n < 1:
         raise KExprError("need k >= 2 and n >= 1")
 
+    @dataclass
     class Frag:
-        __slots__ = ("expr", "sizes", "medges")
-
-        def __init__(self, expr, sizes, medges):
-            self.expr = expr
-            self.sizes = sizes
-            self.medges = medges
+        ops: list
+        sizes: list[int]
+        medges: dict
 
     def leaf() -> "Frag":
         lab = rng.randint(1, k)
         sizes = [0] * (k + 1)
         sizes[lab] = 1
-        return Frag(Intro(lab), sizes, {})
+        return Frag([Intro(lab)], sizes, {})
 
     pool = [leaf() for _ in range(n)]
     ops = extra_ops if extra_ops is not None else 3 * n
+
+    def union(a: Frag, b: Frag) -> Frag:
+        a.ops += b.ops
+        a.ops.append(Union())
+        a.sizes = [x + y for x, y in zip(a.sizes, b.sizes)]
+        for key, cnt in b.medges.items():
+            a.medges[key] = a.medges.get(key, 0) + cnt
+        return a
 
     def try_join(f: Frag) -> bool:
         pairs = [(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)
@@ -733,7 +741,7 @@ def random_irredundant_kexpr(rng: random.Random, k: int, n: int,
         if not pairs:
             return False
         i, j = pairs[rng.randrange(len(pairs))]
-        f.expr = Join(i, j, f.expr)
+        f.ops.append(Join(i, j))
         f.medges[(i, j)] = f.sizes[i] * f.sizes[j]
         return True
 
@@ -742,7 +750,7 @@ def random_irredundant_kexpr(rng: random.Random, k: int, n: int,
         j = rng.randint(1, k)
         if i == j:
             return
-        f.expr = Rename(i, j, f.expr)
+        f.ops.append(Rename(i, j))
         for (a, b), cnt in list(f.medges.items()):
             if i in (a, b):
                 del f.medges[(a, b)]
@@ -758,11 +766,7 @@ def random_irredundant_kexpr(rng: random.Random, k: int, n: int,
         if len(pool) >= 2 and rng.random() < 0.45:
             a = pool.pop(rng.randrange(len(pool)))
             b = pool.pop(rng.randrange(len(pool)))
-            sizes = [x + y for x, y in zip(a.sizes, b.sizes)]
-            medges = dict(a.medges)
-            for key, cnt in b.medges.items():
-                medges[key] = medges.get(key, 0) + cnt
-            pool.append(Frag(Union(a.expr, b.expr), sizes, medges))
+            pool.append(union(a, b))
         else:
             f = pool[rng.randrange(len(pool))]
             if rng.random() < 0.7:
@@ -773,13 +777,8 @@ def random_irredundant_kexpr(rng: random.Random, k: int, n: int,
 
     while len(pool) >= 2:
         a = pool.pop()
-        b = pool.pop()
-        sizes = [x + y for x, y in zip(a.sizes, b.sizes)]
-        medges = dict(a.medges)
-        for key, cnt in b.medges.items():
-            medges[key] = medges.get(key, 0) + cnt
-        f = Frag(Union(a.expr, b.expr), sizes, medges)
+        f = union(a, pool.pop())
         if rng.random() < 0.8:
             try_join(f)
         pool.append(f)
-    return pool[0].expr
+    return KExpression(pool[0].ops)

@@ -99,6 +99,31 @@ def test_expression_file_is_read_closed_and_decoded(tmp_path):
             assert (out.returncode, out.stderr) == expect, command
 
 
+def test_expression_file_with_surrounding_whitespace(tmp_path):
+    expr = tmp_path / "ws.kx"
+    for text in ("eta(1,2,((v(1)+v(1))+(v(2)+v(2))))\n",
+                 "  eta(1,2,((v(1)+v(1))+(v(2)+v(2))))  \n\n",
+                 "\teta(1, 2, ((v(1) + v(1)) + (v(2) + v(2))))\r\n"):
+        expr.write_text(text)
+        for command, answer in (("girth", "4\n"), ("triangles", "0\n")):
+            out = run_cli([command, "--expr", str(expr)])
+            assert (out.returncode, out.stdout, out.stderr) == (0, answer, "")
+
+
+@pytest.mark.parametrize("deep", [False, True])
+def test_redundant_expression_error_is_one_line(tmp_path, deep):
+    # a 3000-deep operand once reached stderr through the join's repr
+    inner = (deep_kexpr_text("cycle", depth=3000) if deep
+             else "eta(1,3,(v(1)+v(3)))")
+    expr = tmp_path / "redundant.kx"
+    expr.write_text(f"eta(1,3,{inner})\n")
+    for command in ("girth", "triangles"):
+        out = run_cli([command, "--expr", str(expr)])
+        assert (out.returncode, out.stdout, out.stderr) == (1, "", (
+            "error: join eta(1,3) applied to classes already carrying "
+            "1 edge(s)\n"))
+
+
 def test_cycle_stats_from_deep_expression(tmp_path):
     expr = tmp_path / "deep.kx"
     expr.write_text(deep_kexpr_text("cycle"))

@@ -11,7 +11,8 @@ from graphdecomp import (GraphError, build_graph, dp_girth,
                          random_irredundant_kexpr, serialize_kexpr,
                          substitute, verify_irredundant)
 from graphdecomp.distances import UNREACHABLE
-from graphdecomp.kexpr import (Intro, Join, KExprError, Rename, Union,
+from graphdecomp.kexpr import (Intro, Join, KExpression, KExprError,
+                               RedundantExpressionError, Rename, Union,
                                iter_postorder)
 
 from conftest import (alternating_chain as _alternating_chain, connected_er,
@@ -52,6 +53,53 @@ def test_parse_error_position():
         parse_kexpr("v(\u00b2)")
 
 
+def test_parse_allows_surrounding_whitespace():
+    text = "eta(1,2,(v(1)+v(2)))"
+    expr = parse_kexpr(text)
+    for padded in (text + "\n", "  " + text + "  ", "\t" + text + " \n\n",
+                   "eta( 1 , 2 ,( v(1) + v(2) ) )\r\n"):
+        assert parse_kexpr(padded) == expr
+    assert parse_kexpr("v(1)\n") == KExpression((Intro(1),))
+    # input after the whitespace is still trailing, at its own position
+    with pytest.raises(KExprError,
+                       match="position 6: trailing input after expression"):
+        parse_kexpr("v(1) \nx\n")
+
+
+@pytest.mark.parametrize("ops, message", [
+    ([Intro(1), Union()], "operation 1: Union\\(\\) lacks operands"),
+    ([Intro(1), Intro(2), Union(), Union()], "operation 3: Union"),
+    ([Join(1, 2), Intro(1)], "operation 0: Join"),
+    ([Intro(1), Intro(2)], "leaves 2 graphs, not one"),
+    ([Intro(1), Intro(2), Intro(1), Union()], "leaves 2 graphs"),
+    ([], "leaves 0 graphs"),
+    ([Intro(0)], "labels are positive integers"),
+    ([Intro(1), Intro(2), Union(), Join(0, 1)], "positive"),
+    ([Intro(1), Rename(1, -1)], "positive"),
+    ([Intro(1), Intro(1), Union(), Join(1, 1)],
+     "eta\\(1,1,...\\) requires distinct labels"),
+    ([Intro(2), Rename(2, 2)], "rho\\(2,2,...\\) requires distinct labels"),
+    ([Intro(1), "v(1)", Union()], "operation 1: 'v\\(1\\)' is not an operation"),
+])
+def test_kexpression_rejects_malformed_programs(ops, message):
+    with pytest.raises(KExprError, match=message):
+        KExpression(ops)
+
+
+def test_kexpression_is_an_immutable_program():
+    ops = [Intro(1), Intro(3), Union(), Join(1, 3), Rename(3, 2)]
+    expr = KExpression(ops)
+    ops.append(Union())                 # the program keeps its own copy
+    assert expr.ops == (Intro(1), Intro(3), Union(), Join(1, 3), Rename(3, 2))
+    assert list(iter_postorder(expr)) == list(expr.ops)
+    assert max_label(expr) == expr.max_label == 3
+    assert serialize_kexpr(expr) == "rho(3,2,eta(1,3,(v(1)+v(3))))"
+    assert expr == parse_kexpr(serialize_kexpr(expr))
+    assert expr != KExpression(ops[:3] + [Rename(1, 3), Rename(3, 2)])
+    with pytest.raises(AttributeError):
+        expr.ops = ()
+
+
 @st.composite
 def kexprs(draw):
     rng = random.Random(draw(st.integers(min_value=0, max_value=10**9)))
@@ -80,6 +128,18 @@ def test_dp_rejects_redundant():
     expr = parse_kexpr("eta(1,2,eta(1,2,(v(1)+v(2))))")
     with pytest.raises(RedundantExpressionError):
         dp_triangle_count(expr)
+
+
+def test_redundant_error_carries_only_its_message():
+    expr = parse_kexpr("eta(1,2,eta(1,2,(v(1)+v(2))))")
+    for dp in (dp_triangle_count, dp_girth):
+        with pytest.raises(RedundantExpressionError) as info:
+            dp(expr)
+        message = "join eta(1,2) applied to classes already carrying 1 edge(s)"
+        assert info.value.args == (message,)
+        assert str(info.value) == message
+        assert info.value.join == Join(1, 2)
+    assert verify_irredundant(expr) == (False, Join(1, 2))
 
 
 def test_dp_triangle_k3():
@@ -218,6 +278,17 @@ def test_dp_matches_oracle_randomized(rng):
         tri, girth = oracle_cycle_stats(g)
         assert dp_triangle_count(expr) == tri
         assert dp_girth(expr) == girth
+
+
+@pytest.mark.parametrize("shape", ["cycle", "fan"])
+def test_deep_expression_equality_hash_and_repr(shape):
+    text = deep_kexpr_text(shape)
+    expr, again = parse_kexpr(text), parse_kexpr(text)
+    assert expr == again and hash(expr) == hash(again)
+    assert expr != parse_kexpr(deep_kexpr_text(shape, depth=10**4 - 1))
+    assert repr(expr) == repr(again)
+    assert repr(expr).startswith("KExpression(ops=(Intro(label=")
+    assert len({expr, again}) == 1
 
 
 @pytest.mark.parametrize("shape", ["cycle", "fan"])
