@@ -280,6 +280,17 @@ def cmd_check(args) -> int:
 # -- argument wiring ----------------------------------------------------------
 
 
+def _at_least(low: int):
+    """An argparse type: an int no less than ``low``, else a usage error."""
+    def count(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, "
+                                             f"got {value}")
+        return value
+    return count
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="graphdecomp",
@@ -331,7 +342,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a family instance (edge list)")
     p.add_argument("--family", choices=FAMILY_NAMES, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_at_least(1), required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--allow-disconnected", action="store_true")
     p.set_defaults(func=cmd_gen)
@@ -351,9 +362,9 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("problem", choices=tuple(METHODS))
     p.add_argument("--method", required=True)
     p.add_argument("--family", choices=FAMILY_NAMES, default="mixed")
-    p.add_argument("--n", type=int, default=0,
+    p.add_argument("--n", type=_at_least(0), default=0,
                    help="target size (0 draws sizes at random)")
-    p.add_argument("--trials", type=int, required=True)
+    p.add_argument("--trials", type=_at_least(1), required=True)
     p.add_argument("--seed", type=int, required=True)
     oracle_cap(p)
     p.set_defaults(func=cmd_check)

@@ -1,67 +1,20 @@
-"""Exact distance values: saturating integer hop counts and half-integers.
+"""Exact distance values: hop counts and half-integers.
 
-Hop distances are plain non-negative ints, with a single ``UNREACHABLE``
-sentinel for vertices in other components (and for the girth of a forest).
-The sentinel saturates under addition and compares greater than every int,
-so ``min``/``max`` and dynamic-programming update rules work unchanged.
+Hop distances are plain non-negative ints, and ``UNREACHABLE``, float
+infinity, stands for vertices in other components (and for the girth of a
+forest).  It saturates under addition and compares greater than every int,
+so ``min``/``max`` and dynamic-programming update rules work unchanged, and
+it prints as ``inf``.
 """
 
 from __future__ import annotations
 
 from functools import total_ordering
 
-
-class _Unreachable:
-    """Saturating top element for hop distances."""
-
-    __slots__ = ()
-
-    def __add__(self, other):
-        if isinstance(other, (int, _Unreachable)):
-            return self
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return other is self
-
-    def __gt__(self, other):
-        return other is not self
-
-    def __ge__(self, other):
-        return True
-
-    def __eq__(self, other):
-        return other is self
-
-    def __ne__(self, other):
-        return other is not self
-
-    def __hash__(self):
-        return hash("graphdecomp.UNREACHABLE")
-
-    def __repr__(self):
-        return "UNREACHABLE"
-
-    def __str__(self):
-        return "inf"
-
-    def __reduce__(self):
-        return (_unreachable_instance, ())
-
-
-def _unreachable_instance():
-    return UNREACHABLE
-
-
-UNREACHABLE = _Unreachable()
+UNREACHABLE = float("inf")
 
 #: A hop count: a non-negative int, or UNREACHABLE.
-Distance = int | _Unreachable
+Distance = int | float
 
 
 @total_ordering

@@ -1,22 +1,14 @@
 """Eccentricities through split trees, modular quotients, and class dispatch.
 
-Over a split tree, eccentricities supply one rule to
-``SplitTree.reroot``.  The value behind a marker is the eccentricity
-of that marker in the graph on its side, less one; a real vertex carries
-0.  Slot t of a component sends out the maximum over the other slots s of
-dist(t, s) + value(s), less one, and a real vertex's eccentricity is that
-maximum itself: one more than what reroot sends through its slot.
-Complete components need only the top two values, stars the top two leaf
-values plus the center, prime components the row of each slot in the
-component's distance table (``Graph.distances``), which hyp and bc read
-too.  The modular variants solve only the quotient, by the row maxima of
-its table: inner graphs carry a universal marker vertex, so their diameter
-is at most two and a per-vertex universality test settles them.
+Over a split tree, a real vertex's eccentricity is one more than the
+value ``SplitTree.farthest`` sends out through its slot; that max-plus
+pass and its closed forms live in ``splitdec``.  The modular variants
+solve only the quotient, by the row maxima of its table: inner graphs
+carry a universal marker vertex, so their diameter is at most two and a
+per-vertex universality test settles them.
 """
 
 from __future__ import annotations
-
-from operator import add
 
 from .classify import (DISC_COCYCLE, DISC_CYCLE, SPIKED_PK, SPIKED_PK_BAR,
                        SPIKED_QK, SPIKED_QK_BAR, THICK_SPIDER, THIN_SPIDER,
@@ -24,7 +16,7 @@ from .classify import (DISC_COCYCLE, DISC_CYCLE, SPIKED_PK, SPIKED_PK_BAR,
 from .distances import Distance
 from .graph import DisconnectedGraphError, Graph
 from .modular import MDNode, PRIME, SERIES
-from .splitdec import COMPLETE, STAR, SplitTree
+from .splitdec import SplitTree
 
 
 def _require_connected(g: Graph) -> None:
@@ -36,42 +28,7 @@ def eccentricities_split(g: Graph, st: SplitTree) -> list[Distance]:
     _require_connected(g)
     if g.n == 1:
         return [0]
-    comps = st.components
-
-    def rule(c: int, vals: list[int], targets: list[int]) -> list[int]:
-        """max over s != t of dist(t, s) + vals[s], less one."""
-        comp = comps[c]
-        if comp.kind == COMPLETE:
-            x, y = _top2(range(len(vals)), vals)
-            return [vals[y] if t == x else vals[x] for t in targets]
-        if comp.kind == STAR:
-            r = comp.center
-            x, y = _top2((s for s in range(len(vals)) if s != r), vals)
-            at_r = vals[r]
-            return [vals[x] if t == r
-                    else max(at_r, 1 + vals[y if t == x else x])
-                    for t in targets]
-        table = comp.graph.distances()
-        out = []
-        for t in targets:
-            sums = list(map(add, table[t], vals))
-            sums[t] = 0     # below every other sum, whose distance is >= 1
-            out.append(max(sums) - 1)
-        return out
-
-    _, out = st.reroot(0, rule)
-    return [val + 1 for val in out]
-
-
-def _top2(indices, e) -> tuple[int, int]:
-    """Indices of the largest and second largest values (-1 if absent)."""
-    x = y = -1
-    for v in indices:
-        if x == -1 or e[v] > e[x]:
-            x, y = v, x
-        elif y == -1 or e[v] > e[y]:
-            y = v
-    return x, y
+    return [val + 1 for val in st.farthest()[1]]
 
 
 # -------------------------------------------------------------------------

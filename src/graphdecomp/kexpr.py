@@ -339,7 +339,7 @@ class _State:
         self.reps = [()] * kk
         self.reps[label] = (vertex,)
         self.tcount = 0
-        self.mu = _INF
+        self.mu = UNREACHABLE
         self.mtab = self.ntab = self.dtab = self.top = None
 
     def touched(self) -> list[int]:
@@ -347,15 +347,6 @@ class _State:
         if self.mtab is None:
             return []
         return [p for p, row in enumerate(self.mtab) if any(row)]
-
-
-# the DPs keep distances as ints and float infinity, which saturates
-# natively, and hand out UNREACHABLE in its place
-_INF = float("inf")
-
-
-def _distance(x) -> Distance:
-    return UNREACHABLE if x == _INF else x
 
 
 def _best2(cands: list) -> tuple:
@@ -422,7 +413,7 @@ class _CycleDP:
         self.trace = trace
         state = self._run(expr)
         self.tcount = state.tcount
-        self.mu = _distance(state.mu)
+        self.mu = state.mu
 
     def _run(self, expr: KExpression) -> "_State":
         stack: list[_State] = []
@@ -495,7 +486,7 @@ class _CycleDP:
             if p != i and p != j:
                 dtab[p][j] = dtab[j][p] = min(dtab[p][j], dtab[p][i])
         for p in occ:
-            dtab[i][p] = dtab[p][i] = _INF
+            dtab[i][p] = dtab[p][i] = UNREACHABLE
         # class j absorbs class i: merge column i into column j, then
         # row i into row j
         for p in occ:
@@ -522,7 +513,7 @@ class _CycleDP:
             st.mtab = [[0] * kk for _ in range(kk)]
             st.ntab = [[0] * kk for _ in range(kk)]
             if self.girth:
-                st.dtab = [[_INF] * kk for _ in range(kk)]
+                st.dtab = [[UNREACHABLE] * kk for _ in range(kk)]
                 st.top = [[()] * kk for _ in range(kk)]
         mtab, ntab = st.mtab, st.ntab
         occ = [p for p, size in enumerate(sizes) if size]
@@ -552,7 +543,7 @@ class _CycleDP:
                 "sizes": list(sizes),
                 "m": [row[:] for row in mtab],
                 "n": [row[:] for row in ntab],
-                "d": [[_distance(x) for x in row] for row in st.dtab],
+                "d": [row[:] for row in st.dtab],
             })
         return st
 
@@ -568,7 +559,8 @@ class _CycleDP:
         dtab[i][i] = min(2, dii) if si >= 2 else min(dii, 1 + dij, 2 + djj)
         dtab[j][j] = min(2, djj) if sj >= 2 else min(djj, 1 + dij, 2 + dii)
         # only the classes that reach i or j gain anything
-        near = [q for q in others if old_i[q] != _INF or old_j[q] != _INF]
+        near = [q for q in others
+                if old_i[q] != UNREACHABLE or old_j[q] != UNREACHABLE]
         for q in near:
             dtab[i][q] = dtab[q][i] = min(old_i[q], 1 + old_j[q])
             dtab[j][q] = dtab[q][j] = min(old_j[q], 1 + old_i[q])
@@ -621,7 +613,7 @@ def _extend(row: list, src: list, shift: int, cols, sizes: list[int]) -> None:
 
 def _two_endpoint_sum(pairs: tuple):
     """Sum of the two smallest distances kept in a ``top`` entry."""
-    return pairs[0][0] + pairs[1][0] if len(pairs) == 2 else _INF
+    return pairs[0][0] + pairs[1][0] if len(pairs) == 2 else UNREACHABLE
 
 
 def dp_triangle_count(expr: KExpression) -> int:

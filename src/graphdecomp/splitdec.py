@@ -17,11 +17,9 @@ alone writes the tree format.  Every builder, whether
 is checked and rooted.  The rooting is one flat slot table (``Rooting``):
 the slots of all components are numbered together, and ``land`` says where
 a value sent out through a slot arrives, at the partner marker or at a real
-vertex.  Over that table ``SplitTree.reroot`` sends a value through every
-slot by a per-component rule (ecc), and ``SplitTree.spread`` sends a slot's
-own value plus the sum of the values at its neighbours with no rule at all
-(hyp and bc): a complete or star component gets every such sum from its
-slice total, a prime one from the slot's adjacency row.
+vertex.  Over that table two passes send a value through every slot, in
+closed form and with no callback: ``SplitTree.spread`` the neighbour sums
+of hyp and bc, and ``SplitTree.farthest`` the max-plus rule of ecc.
 
 The split search (``_find_split``) first takes the splits that need no
 search: a twin pair, or a pendant vertex with its neighbour; and a cycle of
@@ -60,6 +58,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
+from operator import add
 from typing import NamedTuple
 
 from . import modular
@@ -279,39 +278,23 @@ class SplitTree:
             raise GraphError("split tree is a forest; root one tree at a time")
         return r, [real] * (r.lo[-1] + self.n)
 
-    def reroot(self, real, rule):
-        """Send one value across every tree edge in each direction.
+    def spread(self, real, own):
+        """Send one value across every tree edge in each direction, in
+        closed form: the neighbour sums behind hyp and bc.
 
         Every slot of a component carries a value: ``real`` for a slot
         holding a real vertex, and for a marker slot the value sent to it
-        from across that marker's tree edge.  ``rule(c, vals, targets)``
-        gets the values at the slots of component c and returns, for each
-        slot t in targets, the value c sends out through t.  It must not
-        read ``vals[t]``: in the first pass the slot towards the root still
-        holds ``real``.
+        from across that marker's tree edge.  Through slot t, component c
+        sends ``own[lo[c] + t]`` (nothing if ``own`` is None) plus the sum
+        of the values at the neighbours of t.  A complete component sends
+        its slice total less the value at t; a star's centre sends the
+        total less its own value and a leaf the centre's value; a prime
+        component sums over t's adjacency row.  Zero values are skipped,
+        so slots that carry 0 cost no arithmetic.
 
         Returns ``(arrived, out)``: ``arrived[lo[c] + t]`` is the value at
         slot t of component c, and ``out[v]`` the value sent out through
         the slot of real vertex v, which is the per-vertex readout.
-        """
-        r, arrived = self._start(real)
-        lo, land = r.lo, r.land
-        for c, targets in r.sends():
-            a = lo[c]
-            for t, val in zip(targets, rule(c, arrived[a:lo[c + 1]], targets)):
-                arrived[land[a + t]] = val
-        return arrived[:lo[-1]], arrived[lo[-1]:][::-1]
-
-    def spread(self, real, own):
-        """``reroot`` for neighbour sums, in closed form and with no rule.
-
-        Through slot t, component c sends ``own[lo[c] + t]`` (nothing if
-        ``own`` is None) plus the sum of the values at the neighbours of
-        t.  A complete component sends its slice total less the value at
-        t; a star's centre sends the total less its own value and a leaf
-        the centre's value; a prime component sums over t's adjacency
-        row.  Zero values are skipped, so slots that carry 0 cost no
-        arithmetic.  Returns ``(arrived, out)`` as ``reroot`` does.
         """
         r, arrived = self._start(real)
         lo, land = r.lo, r.land
@@ -333,6 +316,44 @@ class SplitTree:
                     val = total - vals[t] if vals[t] else total
                 if own is not None and own[a + t]:
                     val += own[a + t]
+                arrived[land[a + t]] = val
+        return arrived[:lo[-1]], arrived[lo[-1]:][::-1]
+
+    def farthest(self):
+        """``spread``'s traversal for the max-plus rule of eccentricities.
+
+        A real vertex carries 0.  Through slot t, component c sends the
+        maximum over its other slots s of dist_c(t, s) + value(s), less
+        one: the value at a marker is the eccentricity of its partner in
+        the graph on the far side, less one, and ``out[v] + 1`` is real
+        vertex v's eccentricity.  A complete component sends its top
+        value, or its second where t holds the top.  A star's centre sends
+        the top leaf value, and a leaf the larger of the centre's value
+        and 1 + the top value among the other leaves.  A prime component
+        reads t's row of ``Graph.distances``.  No form reads the value at
+        t, which in the first pass is still 0.  Returns ``(arrived, out)``
+        as ``spread`` does.
+        """
+        r, arrived = self._start(0)
+        lo, land = r.lo, r.land
+        comps = self.components
+        for c, targets in r.sends():
+            a = lo[c]
+            vals = arrived[a:lo[c + 1]]
+            comp = comps[c]
+            if comp.kind == PRIME:
+                table = comp.graph.distances()
+                for t in targets:
+                    sums = list(map(add, table[t], vals))
+                    sums[t] = 0     # below every other sum: dist >= 1
+                    arrived[land[a + t]] = max(sums) - 1
+                continue
+            centre = comp.center
+            x, top, second = _top2(vals, centre)
+            for t in targets:
+                val = second if t == x else top
+                if centre >= 0 and t != centre:
+                    val = max(vals[centre], 1 + val)
                 arrived[land[a + t]] = val
         return arrived[:lo[-1]], arrived[lo[-1]:][::-1]
 
@@ -396,6 +417,19 @@ class SplitTree:
                 for ca, la, cb, lb in self.tree_edges
             ],
         }
+
+
+def _top2(vals: list[int], skip: int) -> tuple[int, int, int]:
+    """The slot of the largest value off slot ``skip``, and the largest
+    and second largest values there (-1 where absent; values are >= 0)."""
+    x = top = second = -1
+    for s, v in enumerate(vals):
+        if v > second and s != skip:
+            if v > top:
+                x, top, second = s, v, top
+            else:
+                second = v
+    return x, top, second
 
 
 def split_width(st: SplitTree) -> int:

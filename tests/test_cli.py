@@ -279,6 +279,32 @@ def test_flags_only_where_read(spider_file):
     assert out.returncode == 1 and "cap" in out.stderr
 
 
+@pytest.mark.parametrize("args, message", [
+    (["check", "ecc", "--method", "split", "--trials", "-2", "--seed", "1"],
+     "argument --trials: must be at least 1, got -2"),
+    (["check", "ecc", "--method", "split", "--trials", "0", "--seed", "1"],
+     "argument --trials: must be at least 1, got 0"),
+    (["check", "ecc", "--method", "split", "--n", "-1", "--trials", "2",
+      "--seed", "1"], "argument --n: must be at least 0, got -1"),
+    (["gen", "--family", "er", "--n", "-3", "--seed", "1"],
+     "argument --n: must be at least 1, got -3"),
+    (["gen", "--family", "er", "--n", "0", "--seed", "1"],
+     "argument --n: must be at least 1, got 0"),
+])
+def test_counts_out_of_range_are_usage_errors(capsys, args, message):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.rstrip().endswith(message)
+
+
+def test_check_random_sizes_and_one_trial(capsys):
+    assert main(["check", "ecc", "--method", "split", "--n", "0",
+                 "--trials", "1", "--seed", "1"]) == 0
+    assert "summary trials 1 mismatches 0" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("problem", ["girth", "triangles"])
 def test_check_rejects_an_unknown_method(problem):
     out = run_cli(["check", problem, "--method", "bogus", "--trials", "2",

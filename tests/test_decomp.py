@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 import graphdecomp.splitdec as splitdec
-from graphdecomp import (FamilySpec, GraphError, build_graph,
+from graphdecomp import (FamilySpec, GraphError, bfs_distances, build_graph,
                          classify_prime_graph, eccentricities_qq3,
                          effective_q, gen_family, is_module,
                          max_matching_qq3, maximum_matching,
@@ -336,19 +336,19 @@ def test_validate_rejects_a_marker_no_tree_edge_names():
         st.validate()
 
 
-def test_reroot_needs_one_validated_tree():
+def test_passes_need_one_validated_tree():
     forest = split_decomposition(substitute(build_graph(2, []),
                                             [path(5), cycle(5)]))
     with pytest.raises(GraphError,
                        match="split tree is a forest; root one tree at a time"):
-        forest.reroot(0, lambda c, vals, targets: [0] * len(targets))
+        forest.farthest()
     with pytest.raises(GraphError,
                        match="split tree is a forest; root one tree at a time"):
         forest.spread(1, None)
     st = splitdec.SplitTree(n=3)
     st.add([0, 1, 2], splitdec.COMPLETE)
     with pytest.raises(GraphError, match="not rooted"):
-        st.reroot(0, lambda c, vals, targets: [0] * len(targets))
+        st.farthest()
     with pytest.raises(GraphError, match="not rooted"):
         st.spread(1, None)
 
@@ -369,14 +369,19 @@ def _real_vertices_behind(st, edge, comp):
     return {lab for c in side for lab in st.components[c].labels if lab >= 0}
 
 
-def test_spread_sums_frontiers_against_brute_force(rng):
+def _pass_trees(rng):
+    """Split trees of random graphs, and random degenerate trees."""
     trees = [split_decomposition(connected_er(rng, rng.randint(2, 12)))
              for _ in range(300)]
     trees += [random_degenerate_split_tree(rng.randint(3, 40), rng)
               for _ in range(30)]
     trees += [caterpillar_split_tree(rng, rng.randint(2, 12))
               for _ in range(30)]
-    for st in trees:
+    return trees
+
+
+def test_spread_sums_frontiers_against_brute_force(rng):
+    for st in _pass_trees(rng):
         g = st.recompose()
         masks = g.masks()
         lo = st.rooting.lo
@@ -396,6 +401,36 @@ def test_spread_sums_frontiers_against_brute_force(rng):
                 clique = all(g.has_edge(u, v)
                              for u, v in combinations(frontier, 2))
                 assert (opens[slot] == 0) == clique
+
+
+def test_farthest_reaches_frontiers_against_brute_force(rng):
+    trees = _pass_trees(rng)
+    # twin-class and modular kernel trees: 2-slot complete roots, and
+    # stars whose marker sits at the centre, slot 0
+    for _ in range(60):
+        g = connected_er(rng, rng.randint(2, 14))
+        trees.append(split_tree_from_nd(g, nd_partition(g)))
+        trees.append(split_tree_from_modular(g, modular_decomposition(g)))
+    shapes = set()
+    for st in trees:
+        g = st.recompose()
+        masks = g.masks()
+        dist = [bfs_distances(g, v) for v in range(g.n)]
+        lo = st.rooting.lo
+        arrived, _ = st.farthest()
+        for e, (ca, la, cb, lb) in enumerate(st.tree_edges):
+            # the farthest real vertex behind a marker, from the frontier
+            for c, slot, far in ((ca, la, cb), (cb, lb, ca)):
+                comp = st.components[c]
+                shapes.add((comp.kind, len(comp.labels), slot == comp.center))
+                behind = _real_vertices_behind(st, e, far)
+                if len(behind) in (0, g.n):
+                    continue        # the 1-slot quotient of a single class
+                far_mask = sum(1 << v for v in behind)
+                frontier = [v for v in behind if masks[v] & ~far_mask]
+                assert arrived[lo[c] + slot] == max(
+                    min(dist[f][v] for f in frontier) for v in behind)
+    assert {(splitdec.COMPLETE, 2, False), (STAR, 3, True)} <= shapes
 
 
 # -- neighbourhood diversity -------------------------------------------------
@@ -533,3 +568,4 @@ def test_decomposition_json_shapes(rng):
     st = split_decomposition(g)
     payload = json.loads(json.dumps(st.to_json()))
     assert set(payload) == {"n", "components", "marker_pairs"}
+

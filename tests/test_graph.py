@@ -87,8 +87,8 @@ def test_unreachable_sentinel_semantics():
     assert UNREACHABLE > 10**9
     assert min(3, UNREACHABLE) == 3
     assert max(3, UNREACHABLE) is UNREACHABLE
-    assert 1 + UNREACHABLE is UNREACHABLE
-    assert UNREACHABLE + UNREACHABLE is UNREACHABLE
+    assert 1 + UNREACHABLE == UNREACHABLE
+    assert UNREACHABLE + UNREACHABLE == UNREACHABLE
 
 
 def test_half_integers():
