@@ -6,8 +6,9 @@ label.  A ``KExpression`` is one immutable program, the operations in
 evaluation order on a stack of graphs.  It is checked once, when built
 (positive labels, distinct labels in a join or rename, operands for every
 operation, one graph left), and keeps its largest label; the readers loop
-once over it and check nothing again.  The parser repeats the label
-checks only to give their position in the text.
+once over it and check nothing again.  The parser reads the text as one
+list of tokens in a single pass; it repeats the label checks only to give
+their position in the text.
 
 The triangle-counting and girth dynamic programs run over an irredundant
 expression (every join adds only absent edges), maintaining per-label-pair
@@ -25,11 +26,12 @@ tables:
   reps[c]    up to two vertices of class c
 
 No state is kept per vertex, so each operation costs a polynomial in the
-label count k alone: O(k) for an intro, a rename and a triangle join,
-O(k^2) for a union and a girth join, and O(k^2) once for the tables of a
-subexpression, which are allocated at its first edge.  Loops run only
-over occupied labels (a union's over the classes its smaller side's
-edges touch).
+label count k alone, the number of labels the expression uses (a table
+is indexed by a label's rank among them): O(k) for an intro, a rename
+and a triangle join, O(k^2) for a union and a girth join, and O(k^2)
+once for the tables of a subexpression, which are allocated at its first
+edge.  Loops run only over occupied labels (a union's over the classes
+its smaller side's edges touch).
 
 Grammar (whitespace-insensitive):  expr := "v(" INT ")" | "(" expr "+" expr ")"
 | "eta(" INT "," INT "," expr ")" | "rho(" INT "," INT "," expr ")".
@@ -38,6 +40,7 @@ Grammar (whitespace-insensitive):  expr := "v(" INT ")" | "(" expr "+" expr ")"
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass, field
 
 from .distances import UNREACHABLE, Distance
@@ -153,99 +156,88 @@ def serialize_kexpr(expr: KExpression) -> str:
     return "".join([text for part in parts for text in reversed(part)])
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def error(self, message: str):
-        raise KExprError(f"parse error at position {self.pos}: {message}")
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, token: str) -> None:
-        # no token starts with whitespace, so skip it only on a miss
-        if not self.text.startswith(token, self.pos):
-            self.skip_ws()
-            if not self.text.startswith(token, self.pos):
-                self.error(f"expected {token!r}")
-        self.pos += len(token)
-
-    def parse_int(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        # ASCII only: str.isdigit also admits digits that int() rejects
-        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
-            self.pos += 1
-        if start == self.pos:
-            self.error("expected an integer")
-        return int(self.text[start:self.pos])
-
-    def parse_expr(self) -> list:
-        # iterative descent emitting operations in evaluation order:
-        # ``pending`` holds the open unions (True once past their '+') and
-        # the open eta/rho headers, innermost last
-        ops: list = []
-        pending: list = []
-        while True:
-            c = self.peek()
-            if c == "(":
-                self.expect("(")
-                pending.append(False)
-                continue
-            if c in ("e", "r"):
-                kind = Join if c == "e" else Rename
-                self.expect(kind.name)
-                self.expect("(")
-                i = self.parse_int()
-                self.expect(",")
-                j = self.parse_int()
-                self.expect(",")
-                pending.append((kind, i, j))
-                continue
-            if c != "v":
-                self.error("expected 'v', '(', 'eta' or 'rho'")
-            self.expect("v")
-            self.expect("(")
-            label = self.parse_int()
-            self.expect(")")
-            if label < 1:
-                self.error("labels are positive integers")
-            ops.append(Intro(label))
-            while pending:
-                top = pending[-1]
-                if top is False:            # left operand of a union done
-                    self.expect("+")
-                    pending[-1] = True
-                    break
-                pending.pop()
-                self.expect(")")
-                if top is True:             # right operand of a union done
-                    ops.append(Union())
-                    continue
-                kind, i, j = top
-                if i == j:
-                    self.error(f"{kind.name} requires two distinct labels")
-                if i < 1 or j < 1:
-                    self.error("labels are positive integers")
-                ops.append(kind(i, j))
-            else:
-                return ops
+# a run of ASCII digits, a keyword or any other single non-blank character;
+# for a str pattern \s is str.isspace
+_TOKEN = re.compile(r"[0-9]+|eta|rho|\S")
+# the tokens an expression reads from its first character on, ``int``
+# standing for an integer
+_SHAPES = {
+    "v": (Intro, ("v", "(", int, ")")),
+    "e": (Join, (Join.name, "(", int, ",", int, ",")),
+    "r": (Rename, (Rename.name, "(", int, ",", int, ",")),
+}
 
 
 def parse_kexpr(text: str) -> KExpression:
-    parser = _Parser(text)
-    ops = parser.parse_expr()
-    parser.skip_ws()
-    if parser.pos != len(text):
-        parser.error("trailing input after expression")
-    return KExpression(ops)
+    toks = _TOKEN.findall(text)
+    toks.append("")                 # the end of the text
+    ops: list = []
+    # one pass emitting operations in evaluation order: ``pending`` holds
+    # the open unions (True once past their '+') and the open eta/rho
+    # headers, innermost last
+    pending: list = []
+    t = 0
+    while True:
+        tok = toks[t]
+        if tok == "(":
+            pending.append(False)
+            t += 1
+            continue
+        kind, shape = _SHAPES.get(tok[:1], (None, ()))
+        if kind is None:
+            raise _parse_error(text, t, "expected 'v', '(', 'eta' or 'rho'")
+        ints = []
+        for want in shape:
+            tok = toks[t]
+            if want is int:
+                # ASCII only: str.isdigit also admits digits int() rejects
+                if not "0" <= tok[:1] <= "9":
+                    raise _parse_error(text, t, "expected an integer")
+                ints.append(int(tok))
+            elif tok != want:
+                raise _parse_error(text, t, f"expected {want!r}")
+            t += 1
+        if kind is not Intro:
+            pending.append((kind, *ints))
+            continue
+        if ints[0] < 1:
+            raise _parse_error(text, t, "labels are positive integers",
+                               closed=True)
+        ops.append(Intro(ints[0]))
+        while pending:
+            top = pending[-1]
+            want = "+" if top is False else ")"
+            if toks[t] != want:
+                raise _parse_error(text, t, f"expected {want!r}")
+            t += 1
+            if top is False:        # left operand of a union done
+                pending[-1] = True
+                break
+            pending.pop()
+            if top is True:         # right operand of a union done
+                ops.append(Union())
+                continue
+            kind, i, j = top
+            if i == j:
+                raise _parse_error(text, t, f"{kind.name} requires two "
+                                   "distinct labels", closed=True)
+            if i < 1 or j < 1:
+                raise _parse_error(text, t, "labels are positive integers",
+                                   closed=True)
+            ops.append(kind(i, j))
+        else:
+            if toks[t]:
+                raise _parse_error(text, t, "trailing input after expression")
+            return KExpression(ops)
+
+
+def _parse_error(text: str, t: int, message: str,
+                 closed: bool = False) -> KExprError:
+    """The error at the start of token t (at the end of the text once t is
+    past the last token), or just past token t - 1, a ')', when ``closed``."""
+    starts = [m.start() for m in _TOKEN.finditer(text)] + [len(text)]
+    pos = starts[t - 1] + 1 if closed else starts[t]
+    return KExprError(f"parse error at position {pos}: {message}")
 
 
 # -------------------------------------------------------------------------
@@ -407,10 +399,17 @@ class _CycleDP:
     columns, and empty ``top`` entries, and no operation changes that.
     """
 
-    def __init__(self, expr: KExpression, girth: bool, trace=None):
-        self.kk = expr.max_label + 1
+    def __init__(self, expr: KExpression, girth: bool):
+        # a table is indexed by a label's rank among the labels in use
+        used = set()
+        for op in expr.ops:
+            if isinstance(op, Intro):
+                used.add(op.label)
+            elif not isinstance(op, Union):
+                used.update((op.i, op.j))
+        self.rank = {label: r for r, label in enumerate(sorted(used))}
+        self.kk = len(used)
         self.girth = girth
-        self.trace = trace
         state = self._run(expr)
         self.tcount = state.tcount
         self.mu = state.mu
@@ -420,7 +419,7 @@ class _CycleDP:
         counter = 0
         for op in expr.ops:
             if isinstance(op, Intro):
-                stack.append(_State(self.kk, op.label, counter))
+                stack.append(_State(self.kk, self.rank[op.label], counter))
                 counter += 1
             elif isinstance(op, Union):
                 s2 = stack.pop()
@@ -460,7 +459,7 @@ class _CycleDP:
         return s1
 
     def _rename(self, op: Rename, st: "_State") -> "_State":
-        i, j = op.i, op.j
+        i, j = self.rank[op.i], self.rank[op.j]
         sizes, reps = st.sizes, st.reps
         if not sizes[i]:
             return st
@@ -499,10 +498,10 @@ class _CycleDP:
         return st
 
     def _join(self, op: Join, st: "_State") -> "_State":
-        i, j = op.i, op.j
+        i, j = self.rank[op.i], self.rank[op.j]
         if st.mtab is not None and st.mtab[i][j] != 0:
             raise RedundantExpressionError(
-                f"join eta({i},{j}) applied to classes already carrying "
+                f"join eta({op.i},{op.j}) applied to classes already carrying "
                 f"{st.mtab[i][j]} edge(s)", op)
         sizes = st.sizes
         si, sj = sizes[i], sizes[j]
@@ -536,15 +535,6 @@ class _CycleDP:
             ntab[i][q] = ntab[q][i] = niq
             ntab[j][q] = ntab[q][j] = njq
         mtab[i][j] = mtab[j][i] = si * sj
-
-        if self.trace is not None:
-            self.trace.append({
-                "op": ("eta", i, j),
-                "sizes": list(sizes),
-                "m": [row[:] for row in mtab],
-                "n": [row[:] for row in ntab],
-                "d": [row[:] for row in st.dtab],
-            })
         return st
 
     def _join_distances(self, st: "_State", i: int, j: int,
@@ -621,9 +611,9 @@ def dp_triangle_count(expr: KExpression) -> int:
     return _CycleDP(expr, girth=False).tcount
 
 
-def dp_girth(expr: KExpression, trace=None) -> Distance:
+def dp_girth(expr: KExpression) -> Distance:
     """Girth of the evaluated graph (UNREACHABLE for forests)."""
-    return _CycleDP(expr, girth=True, trace=trace).mu
+    return _CycleDP(expr, girth=True).mu
 
 
 # -------------------------------------------------------------------------

@@ -695,8 +695,15 @@ def split_decomposition(g: Graph) -> SplitTree:
 
 def split_tree_from_nd(g: Graph, ndp: modular.NDPartition) -> SplitTree:
     """The twin-class quotient, with a star or complete per class of size
-    >= 2 hung off the class's slot (the class's marker at slot 0)."""
+    >= 2 hung off the class's slot (the class's marker at slot 0).  A
+    single class of true twins is one complete component."""
     st = SplitTree(n=g.n)
+    if len(ndp.classes) == 1:
+        if ndp.tags[0] == modular.FALSE_TWINS:
+            raise DisconnectedGraphError("disconnected input")
+        st.add(list(ndp.classes[0]), COMPLETE)
+        st.validate()
+        return st
     st.add([cls[0] if len(cls) == 1 else 0 for cls in ndp.classes],
            graph=ndp.quotient)
     for i, cls in enumerate(ndp.classes):

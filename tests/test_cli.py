@@ -74,6 +74,15 @@ def test_girth_from_expression(tmp_path):
     assert out.stdout.strip() == "0"
 
 
+def test_expression_with_a_large_label(tmp_path):
+    # the DP tables follow the labels in use, not the largest label
+    expr = tmp_path / "big.kx"
+    expr.write_text("eta(1,1000000000000,(v(1)+v(1000000000000)))\n")
+    for command, answer in (("girth", "inf\n"), ("triangles", "0\n")):
+        out = run_cli([command, "--expr", str(expr)])
+        assert (out.returncode, out.stdout, out.stderr) == (0, answer, "")
+
+
 def test_expression_parse_error_has_position(tmp_path):
     expr = tmp_path / "bad.kx"
     expr.write_text("v(\u00b2)", encoding="utf-8")

@@ -5,7 +5,8 @@ from itertools import combinations
 import pytest
 
 import graphdecomp.splitdec as splitdec
-from graphdecomp import (FamilySpec, GraphError, bfs_distances, build_graph,
+from graphdecomp import (DisconnectedGraphError, FamilySpec, GraphError,
+                         bfs_distances, build_graph,
                          classify_prime_graph, eccentricities_qq3,
                          effective_q, gen_family, is_module,
                          max_matching_qq3, maximum_matching,
@@ -316,8 +317,18 @@ def test_nd_split_tree(rng):
         g = connected_er(rng, rng.randint(2, 14))
         ndp = nd_partition(g)
         st = split_tree_from_nd(g, ndp)
-        assert st.components[0].graph is ndp.quotient
+        if ndp.nd > 1:
+            assert st.components[0].graph is ndp.quotient
+        else:
+            assert [c.labels for c in st.components] == [list(range(g.n))]
         assert st.recompose() == g
+    # a single twin class is one complete component, or no connected graph
+    st = split_tree_from_nd(complete(5), nd_partition(complete(5)))
+    assert [c.labels for c in st.components] == [[0, 1, 2, 3, 4]]
+    assert st.components[0].kind == splitdec.COMPLETE and not st.tree_edges
+    edgeless = build_graph(3, [])
+    with pytest.raises(DisconnectedGraphError):
+        split_tree_from_nd(edgeless, nd_partition(edgeless))
 
 
 def test_validate_rejects_tree_edges_that_close_a_cycle():
@@ -424,8 +435,6 @@ def test_farthest_reaches_frontiers_against_brute_force(rng):
                 comp = st.components[c]
                 shapes.add((comp.kind, len(comp.labels), slot == comp.center))
                 behind = _real_vertices_behind(st, e, far)
-                if len(behind) in (0, g.n):
-                    continue        # the 1-slot quotient of a single class
                 far_mask = sum(1 << v for v in behind)
                 frontier = [v for v in behind if masks[v] & ~far_mask]
                 assert arrived[lo[c] + slot] == max(

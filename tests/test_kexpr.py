@@ -13,7 +13,7 @@ from graphdecomp import (GraphError, build_graph, dp_girth,
 from graphdecomp.distances import UNREACHABLE
 from graphdecomp.kexpr import (Intro, Join, KExpression, KExprError,
                                RedundantExpressionError, Rename, Union,
-                               iter_postorder)
+                               _CycleDP, iter_postorder)
 
 from conftest import (alternating_chain as _alternating_chain, connected_er,
                       cycle, deep_kexpr_text, path)
@@ -53,11 +53,44 @@ def test_parse_error_position():
         parse_kexpr("v(\u00b2)")
 
 
+@pytest.mark.parametrize("text, position, message", [
+    ("", 0, "expected 'v', '(', 'eta' or 'rho'"),
+    ("x", 0, "expected 'v', '(', 'eta' or 'rho'"),
+    ("eta(1,2,", 8, "expected 'v', '(', 'eta' or 'rho'"),
+    ("e(1,2,v(1))", 0, "expected 'eta'"),
+    ("r", 0, "expected 'rho'"),
+    ("v1", 1, "expected '('"),
+    ("etav", 3, "expected '('"),
+    ("v()", 2, "expected an integer"),
+    ("v(²)", 2, "expected an integer"),
+    ("v(٣)", 2, "expected an integer"),
+    ("eta(1 2,v(1))", 6, "expected ','"),
+    ("v(1", 3, "expected ')'"),
+    ("eta(1,2,v(1)", 12, "expected ')'"),
+    ("rho(1,2,(v(1)+v(2)+", 18, "expected ')'"),
+    ("(v(1)v(2))", 5, "expected '+'"),
+    # label errors sit just past the closing parenthesis
+    ("v(0)", 4, "labels are positive integers"),
+    ("eta(0,1,v(1))", 13, "labels are positive integers"),
+    ("eta(1,1, v(1) )", 15, "eta requires two distinct labels"),
+    ("rho(2,2,v(1))", 13, "rho requires two distinct labels"),
+    ("v(1))", 4, "trailing input after expression"),
+    ("v(1) \nx\n", 6, "trailing input after expression"),
+    ("v(1)\udcff", 4, "trailing input after expression"),
+])
+def test_parse_error_messages_and_positions(text, position, message):
+    with pytest.raises(KExprError) as info:
+        parse_kexpr(text)
+    assert str(info.value) == f"parse error at position {position}: {message}"
+
+
 def test_parse_allows_surrounding_whitespace():
     text = "eta(1,2,(v(1)+v(2)))"
     expr = parse_kexpr(text)
     for padded in (text + "\n", "  " + text + "  ", "\t" + text + " \n\n",
-                   "eta( 1 , 2 ,( v(1) + v(2) ) )\r\n"):
+                   "eta( 1 , 2 ,( v(1) + v(2) ) )\r\n",
+                   # blanks are str.isspace: Unicode spaces, \x1c-\x1f
+                   "eta(\u3000 1\x1f,2,(v(1)+v(2)))\x1c"):
         assert parse_kexpr(padded) == expr
     assert parse_kexpr("v(1)\n") == KExpression((Intro(1),))
     # input after the whitespace is still trailing, at its own position
@@ -157,25 +190,51 @@ def test_dp_c5_and_two_label_square():
     assert dp_girth(sq) == 4
 
 
-def test_diagonal_closed_walk_remark():
+@pytest.fixture
+def join_tables(monkeypatch):
+    """The pair tables that each join adding edges leaves, indexed by label,
+    recorded around ``_CycleDP._join``."""
+    trace = []
+    join = _CycleDP._join
+
+    def recording(dp, op, st):
+        st = join(dp, op, st)
+        rank = dp.rank
+        if st.sizes[rank[op.i]] and st.sizes[rank[op.j]]:
+            k = max(rank)
+
+            def by_label(tab, absent):
+                return [[tab[rank[p]][rank[q]]
+                         if p in rank and q in rank else absent
+                         for q in range(k + 1)] for p in range(k + 1)]
+            trace.append({"op": ("eta", op.i, op.j),
+                          "m": by_label(st.mtab, 0),
+                          "n": by_label(st.ntab, 0),
+                          "d": by_label(st.dtab, UNREACHABLE)})
+        return st
+
+    monkeypatch.setattr(_CycleDP, "_join", recording)
+    return trace
+
+
+def test_diagonal_closed_walk_remark(join_tables):
     # triangle with a singleton class: the diagonal entry reports the
     # closed walk through it even though no such path exists, and the
     # running girth already accounts the 3-cycle
     expr = parse_kexpr("eta(2,3,eta(1,3,eta(1,2,((v(1)+v(2))+v(3)))))")
-    trace = []
-    assert dp_girth(expr, trace=trace) == 3
-    final = trace[-1]
+    assert dp_girth(expr) == 3
+    final = join_tables[-1]
     assert final["op"] == ("eta", 2, 3)
     assert final["d"][1][1] == 3
 
 
-def test_pair_tables_match_instrumented_evaluation(rng):
+def test_pair_tables_match_instrumented_evaluation(rng, join_tables):
     for _ in range(40):
         expr = random_irredundant_kexpr(rng, rng.randint(2, 5),
                                         rng.randint(2, 14))
-        trace = []
-        dp_girth(expr, trace=trace)
-        _check_tables_against_partial_graphs(expr, trace)
+        join_tables.clear()
+        dp_girth(expr)
+        _check_tables_against_partial_graphs(expr, join_tables)
 
 
 def _check_tables_against_partial_graphs(expr, trace):
@@ -312,14 +371,55 @@ def test_dp_matches_oracle_up_to_six_labels(rng):
 
 
 def test_girth_needs_two_vertices_per_class_pair():
-    # found by a search over random expressions with few operations: the
-    # only cycle leaves a class through one vertex and comes back through
-    # another, so keeping one nearest vertex per class pair misses it
-    expr = parse_kexpr(
-        "eta(2,3,(eta(1,4,((eta(1,2,(v(2)+v(1)))+((v(2)+v(2))+v(4)))"
-        "+eta(1,2,(v(2)+(v(3)+rho(4,1,v(4)))))))+rho(4,1,v(2))))")
-    assert oracle_cycle_stats(eval_kexpr(expr).graph) == (0, 6)
-    assert dp_girth(expr) == 6
+    # found by a search over random expressions with few operations
+    # (extra_ops between n and 2n): the only cycle leaves a class through
+    # one vertex and comes back through another, so keeping one nearest
+    # vertex per class pair misses it (7 in 180 000 such expressions)
+    for text in (
+            "eta(2,3,(eta(1,4,((eta(1,2,(v(2)+v(1)))+((v(2)+v(2))+v(4)))"
+            "+eta(1,2,(v(2)+(v(3)+rho(4,1,v(4)))))))+rho(4,1,v(2))))",
+            "eta(1,4,(eta(2,3,((eta(3,4,(v(4)+v(3)))+v(2))"
+            "+eta(3,4,(rho(1,3,v(4))+rho(2,4,v(3))))))+rho(4,1,v(4))))",
+            "eta(2,4,(eta(1,3,(rho(5,4,(eta(3,5,(v(3)+v(5)))"
+            "+eta(3,4,(v(3)+v(4)))))+(v(1)+rho(4,5,v(2)))))+rho(4,1,v(1))))",
+            "eta(1,2,(eta(3,4,(rho(3,4,eta(1,4,(v(4)+v(1))))"
+            "+eta(1,4,((v(3)+v(1))+v(4)))))+eta(3,4,(rho(1,3,v(2))"
+            "+(v(4)+v(3))))))"):
+        expr = parse_kexpr(text)
+        assert oracle_cycle_stats(eval_kexpr(expr).graph) == (0, 6)
+        assert dp_girth(expr) == 6
+
+
+def _relabelled(expr, label_of):
+    ops = []
+    for op in expr.ops:
+        if isinstance(op, Intro):
+            ops.append(Intro(label_of[op.label]))
+        elif isinstance(op, Union):
+            ops.append(op)
+        else:
+            ops.append(type(op)(label_of[op.i], label_of[op.j]))
+    return KExpression(ops)
+
+
+def test_dp_tables_follow_the_labels_in_use(rng):
+    # the tables are indexed by rank among the labels the program uses:
+    # labels near 10**12 cost what labels 1..k cost
+    big = 10**12
+    edge = parse_kexpr(f"eta(1,{big},(v(1)+v({big})))")
+    assert (dp_triangle_count(edge), dp_girth(edge)) == (0, UNREACHABLE)
+    triangle = parse_kexpr(f"eta({big},3,eta(1,3,eta(1,{big},"
+                           f"((v(1)+v({big}))+v(3)))))")
+    assert (dp_triangle_count(triangle), dp_girth(triangle)) == (1, 3)
+    for _ in range(40):
+        expr = random_irredundant_kexpr(rng, rng.randint(2, 5),
+                                        rng.randint(1, 20))
+        labels = rng.sample(range(big, big + 10**6), expr.max_label)
+        far = _relabelled(expr, dict(zip(range(1, expr.max_label + 1),
+                                         labels)))
+        assert eval_kexpr(far).graph == eval_kexpr(expr).graph
+        assert dp_triangle_count(far) == dp_triangle_count(expr)
+        assert dp_girth(far) == dp_girth(expr)
 
 
 @pytest.mark.parametrize("shape, triangles, girth",
