@@ -66,7 +66,11 @@ class Graph:
                     yield (u, v)
 
     def masks(self) -> tuple[int, ...]:
-        """Neighborhood bitmasks, one int per vertex (built lazily)."""
+        """Neighborhood bitmasks, one int per vertex (built lazily).
+
+        Each mask spans up to n bits, so the masks take about n^2/8 bytes
+        (n = 10^5 would need over a gigabyte).
+        """
         if self._masks is None:
             out = []
             for row in self.adj:
@@ -103,6 +107,7 @@ class Graph:
     # -- derived graphs --------------------------------------------------
 
     def complement(self) -> "Graph":
+        """The complement graph, in Theta(n^2) time and output size."""
         n = self.n
         rows = []
         for u in range(n):
@@ -370,10 +375,14 @@ def read_edgelist(text: str) -> Graph:
             raise GraphError(f"line {line + 1}: expected 'n m' header")
         raise GraphError(f"line {line + 1}: expected 'u v'")
 
-    def field(i: int) -> int:
-        return int(data[starts[i]:ends[i]])
+    def field(i: int, where: str) -> int:
+        try:
+            return int(data[starts[i]:ends[i]])
+        except ValueError:          # more digits than int() converts
+            raise GraphError(f"{where}: integer too long") from None
 
-    n, m = field(0), field(1)
+    header = f"line {lines[0] + 1}"
+    n, m = field(0, header), field(1, header)
     k = len(starts) // 2 - 1
     if k != m:
         raise GraphError(f"header promises {m} edges, file has {k}")
@@ -382,7 +391,7 @@ def read_edgelist(text: str) -> Graph:
     wrong = np.flatnonzero((u >= n) | (v >= n) | (u == v))
     if len(wrong):
         i = int(wrong[0])
-        x, y = field(2 * i + 2), field(2 * i + 3)
+        x, y = (field(2 * i + j, f"edge #{i}") for j in (2, 3))
         if x >= n or y >= n:
             raise GraphError(
                 f"edge #{i} ({x},{y}) has an endpoint out of range 0..{n - 1}")

@@ -149,6 +149,12 @@ def _is_block_graph(g: Graph) -> bool:
 
 
 def _has_induced_c4(g: Graph) -> bool:
+    """Whether g has an induced 4-cycle: two non-adjacent vertices with two
+    non-adjacent common neighbours.
+
+    Every non-adjacent pair scans its common neighbours, so the test costs
+    O(n^2 * max degree) operations on n-bit masks.
+    """
     masks = g.masks()
     n = g.n
     for u in range(n):

@@ -193,7 +193,10 @@ def parse_kexpr(text: str) -> KExpression:
                 # ASCII only: str.isdigit also admits digits int() rejects
                 if not "0" <= tok[:1] <= "9":
                     raise _parse_error(text, t, "expected an integer")
-                ints.append(int(tok))
+                try:
+                    ints.append(int(tok))
+                except ValueError:  # more digits than int() converts
+                    raise _parse_error(text, t, "integer too long") from None
             elif tok != want:
                 raise _parse_error(text, t, f"expected {want!r}")
             t += 1

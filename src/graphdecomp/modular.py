@@ -26,9 +26,11 @@ and neither does ``MDNode.to_json``.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from typing import Sequence
 
-from .graph import Graph, GraphError, build_graph, find_root, mask_vertices
+from .graph import Graph, GraphError, mask_vertices
 
 LEAF = "leaf"
 PARALLEL = "parallel"
@@ -190,15 +192,26 @@ def is_module(g: Graph, vertices) -> bool:
     return True
 
 
-def quotient_graph(g: Graph, modules: list[tuple[int, ...]]) -> Graph:
-    reps = [mod[0] for mod in modules]
-    masks = g.masks()
-    edges = []
-    for i, u in enumerate(reps):
-        for j in range(i + 1, len(reps)):
-            if masks[u] >> reps[j] & 1:
-                edges.append((i, j))
-    return build_graph(len(modules), edges)
+def quotient_graph(g: Graph, modules: Sequence[Sequence[int]]) -> Graph:
+    """The quotient of g over ``modules``, a list of disjoint, non-empty
+    modules: vertex i stands for ``modules[i]``.
+
+    Row i is the set of owners of the neighbours of module i's first vertex,
+    minus i.  A vertex outside a module sees all of it or none of it, so
+    the rows are symmetric and any vertex of a module would give the same
+    row.  The cost is O(sum |module| + sum deg(first vertex)), with no
+    quadratic pass over the pairs of modules.  This builds every prime
+    quotient of ``modular_decomposition`` and the twin-class quotient.
+    """
+    owner = {v: i for i, mod in enumerate(modules) for v in mod}
+    rows: list[list[int]] = [[] for _ in modules]
+    for i, mod in enumerate(modules):
+        # a neighbour outside every module counts as i and drops out with
+        # it; row j collects, in increasing order, the i that see module j,
+        # and by symmetry that is module j's own row
+        for j in {owner.get(w, i) for w in g.adj[mod[0]]} - {i}:
+            rows[j].append(i)
+    return Graph.from_rows(list(map(tuple, rows)))
 
 
 # -------------------------------------------------------------------------
@@ -220,57 +233,37 @@ class NDPartition:
 
 
 def nd_partition(g: Graph) -> NDPartition:
-    """Coarsest partition into twin classes (u ~ v iff N(u)\\v = N(v)\\u)."""
-    masks = g.masks()
-    parent = list(range(g.n))
+    """Coarsest partition into twin classes (u ~ v iff N(u)\\v = N(v)\\u).
 
-    def union(a: int, b: int) -> None:
-        ra, rb = find_root(parent, a), find_root(parent, b)
-        if ra != rb:
-            parent[rb] = ra
-
-    by_open: dict[int, int] = {}
-    by_closed: dict[int, int] = {}
-    for v in range(g.n):
-        o = masks[v]
-        c = masks[v] | (1 << v)
-        if o in by_open:
-            union(by_open[o], v)
-        else:
-            by_open[o] = v
-        if c in by_closed:
-            union(by_closed[c], v)
-        else:
-            by_closed[c] = v
-
-    groups: dict[int, list[int]] = {}
-    for v in range(g.n):
-        groups.setdefault(find_root(parent, v), []).append(v)
-    classes = sorted(tuple(sorted(vs)) for vs in groups.values())
-
-    tags = []
-    for cls in classes:
-        if len(cls) == 1:
-            tags.append(TRUE_TWINS)
-        elif g.has_edge(cls[0], cls[1]):
-            _check_clique(g, cls)
-            tags.append(TRUE_TWINS)
-        else:
-            _check_stable(g, cls)
-            tags.append(FALSE_TWINS)
-    quotient = quotient_graph(g, list(classes))
-    return NDPartition(list(classes), tags, quotient)
-
-
-def _check_clique(g: Graph, cls) -> None:
-    for i, u in enumerate(cls):
-        for v in cls[i + 1:]:
-            if not g.has_edge(u, v):
-                raise GraphError("twin class is neither a clique nor a stable set")
-
-
-def _check_stable(g: Graph, cls) -> None:
-    for i, u in enumerate(cls):
-        for v in cls[i + 1:]:
-            if g.has_edge(u, v):
-                raise GraphError("twin class is neither a clique nor a stable set")
+    Twins are either false (N(u) = N(v), never adjacent) or true
+    (N[u] = N[v], always adjacent).  No vertex has a twin of each kind: if
+    N(u) = N(v) and N[u] = N[w], then w is in N(v), so v is in N[w] = N[u],
+    which would make u and v adjacent.  So a vertex takes its open group
+    (the vertices of equal open row) when that group has a second vertex,
+    and its closed group (equal closed row) otherwise.  An open group is a
+    stable set and a closed group is a clique.  Rows are sorted tuples, so
+    equal sets give equal keys, and the pass costs O(n + m).  Each vertex
+    maps to the lowest vertex of its class, so the pass builds one list
+    per class, not one per vertex.
+    """
+    adj = g.adj
+    by_open: dict[tuple[int, ...], int] = {}
+    # lead[v] is the lowest vertex of v's open group, then of v's class
+    lead = [by_open.setdefault(row, v) for v, row in enumerate(adj)]
+    paired = [False] * g.n          # open groups with a second vertex
+    for v, u in enumerate(lead):
+        if u != v:
+            paired[u] = True
+    # by the proof, a vertex with a true twin is alone in its open group
+    by_closed: dict[tuple[int, ...], int] = {}
+    for v, row in enumerate(adj):
+        if lead[v] == v and not paired[v]:
+            at = bisect_left(row, v)
+            lead[v] = by_closed.setdefault(row[:at] + (v,) + row[at:], v)
+    # a class's lead is its lowest vertex, so the classes come out sorted
+    members: dict[int, list[int]] = {}
+    for v, u in enumerate(lead):
+        members.setdefault(u, []).append(v)
+    classes = [tuple(vs) for vs in members.values()]
+    tags = [FALSE_TWINS if paired[u] else TRUE_TWINS for u in members]
+    return NDPartition(classes, tags, quotient_graph(g, classes))

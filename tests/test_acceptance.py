@@ -169,36 +169,53 @@ def test_acceptance_scaling():
     # the growth ratio compares the times in units of a fixed reference
     # kernel run next to them: 50 ms of kernel runs before and after each
     # timing, whose median resists the odd slow run.  Each size keeps its
-    # best of five rounds.
-    times = {n: float("inf") for n in trees}
-    units = {n: float("inf") for n in trees}
+    # best of five rounds.  Every round times the split-tree DP and the
+    # twin-class partition of the same graph.
+    solvers = {"ecc": eccentricities_split,
+               "nd": lambda g, st: nd_partition(g)}
+    times = {(name, n): float("inf") for name in solvers for n in trees}
+    units = dict(times)
     graphs = {}
     for _ in range(5):
         for n, runs in ((10_000, 10), (100_000, 1)):
             g, st = trees[n]
-            kernel = _reference_kernel_runs(0.05)
-            t0 = time.perf_counter()
-            for _ in range(runs):
-                vals = eccentricities_split(g, st)
-            spent = (time.perf_counter() - t0) / runs
-            kernel += _reference_kernel_runs(0.05)
-            times[n] = min(times[n], spent)
-            units[n] = min(units[n], spent / statistics.median(kernel))
-            graphs[n] = (g, vals)
-    assert times[100_000] < 5.0, f"DP took {times[100_000]:.2f}s at n=1e5"
-    ratio = units[100_000] / units[10_000]
+            for name, solve in solvers.items():
+                kernel = _reference_kernel_runs(0.05)
+                t0 = time.perf_counter()
+                for _ in range(runs):
+                    out = solve(g, st)
+                spent = (time.perf_counter() - t0) / runs
+                kernel += _reference_kernel_runs(0.05)
+                times[name, n] = min(times[name, n], spent)
+                units[name, n] = min(units[name, n],
+                                     spent / statistics.median(kernel))
+                if name == "ecc":
+                    graphs[n] = (g, out)
+    assert times["ecc", 100_000] < 5.0, \
+        f"DP took {times['ecc', 100_000]:.2f}s at n=1e5"
+    ratio = units["ecc", 100_000] / units["ecc", 10_000]
     assert ratio <= 15.0, f"growth ratio {ratio:.1f} exceeds 15"
+    assert times["nd", 100_000] < 5.0, \
+        f"nd_partition took {times['nd', 100_000]:.2f}s at n=1e5"
+    nd_ratio = units["nd", 100_000] / units["nd", 10_000]
+    assert nd_ratio <= 15.0, \
+        f"nd_partition growth ratio {nd_ratio:.1f} exceeds 15"
     g, vals = graphs[10_000]
     t0 = time.perf_counter()
     want = oracle_eccentricities(g)
     oracle_time = time.perf_counter() - t0
     assert want == vals
-    assert oracle_time > times[10_000], "oracle should be measurably slower"
-    print(f"PASS: scaling, split-tree DP {times[10_000]*1000:.0f}ms at 1e4 "
-          f"and {times[100_000]*1000:.0f}ms at 1e5 (ratio {ratio:.1f} in "
-          f"reference-kernel units, {times[100_000] / times[10_000]:.1f} "
-          f"in wall time); quadratic oracle {oracle_time:.1f}s at 1e4 "
-          f"({oracle_time/times[10_000]:.0f}x slower)")
+    assert oracle_time > times["ecc", 10_000], \
+        "oracle should be measurably slower"
+    dp = times["ecc", 10_000]
+    print(f"PASS: scaling, split-tree DP {dp*1000:.0f}ms at 1e4 "
+          f"and {times['ecc', 100_000]*1000:.0f}ms at 1e5 (ratio "
+          f"{ratio:.1f} in reference-kernel units, "
+          f"{times['ecc', 100_000] / dp:.1f} in wall time); quadratic "
+          f"oracle {oracle_time:.1f}s at 1e4 ({oracle_time/dp:.0f}x "
+          f"slower); nd_partition {times['nd', 10_000]*1000:.0f}ms at 1e4 "
+          f"and {times['nd', 100_000]*1000:.0f}ms at 1e5 (ratio "
+          f"{nd_ratio:.1f} in reference-kernel units)")
 
 
 def _cli(args, stdin_text=None) -> bytes:

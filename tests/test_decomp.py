@@ -19,7 +19,7 @@ from graphdecomp import (DisconnectedGraphError, FamilySpec, GraphError,
 from graphdecomp.classify import (DISC_COCYCLE, DISC_CYCLE, SMALL_PRIME,
                                   SPIKED_PK, SPIKED_QK, SPIKED_QK_BAR,
                                   THICK_SPIDER, THIN_SPIDER, is_prime)
-from graphdecomp.families import spiked_qk_edges
+from graphdecomp.families import FAMILY_NAMES, spiked_qk_edges
 from graphdecomp.graph import simplicial_vertices
 from graphdecomp.modular import FALSE_TWINS, PRIME, TRUE_TWINS
 from graphdecomp.splitdec import STAR, is_marker
@@ -463,6 +463,43 @@ def test_nd_classes_are_modules(rng):
         for cls in ndp.classes:
             assert is_module(g, cls)
         assert modular_width(modular_decomposition(g)) <= max(2, ndp.nd)
+
+
+def _pairwise_quotient(g, modules):
+    """The quotient over ``modules`` by testing every pair of first vertices."""
+    return build_graph(len(modules), [
+        (i, j) for i, j in combinations(range(len(modules)), 2)
+        if g.has_edge(modules[i][0], modules[j][0])])
+
+
+def test_twin_classes_and_quotients_match_the_definitions(rng):
+    graphs = [complete(7), build_graph(6, []), complete(1),
+              # a triangle, a pendant path and isolated vertices
+              build_graph(9, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5)])]
+    for fam in FAMILY_NAMES:
+        for connected in (True, False):
+            for _ in range(4):
+                graphs.append(random_instance(
+                    fam, rng.randint(1, 40), rng, connected=connected).graph)
+    for g in graphs:
+        rows = [set(row) for row in g.adj]
+        # u ~ v iff N(u) \ {v} = N(v) \ {u}, tested on every pair
+        classes = sorted({
+            tuple(u for u in range(g.n)
+                  if u == v or rows[u] - {v} == rows[v] - {u})
+            for v in range(g.n)})
+        ndp = nd_partition(g)
+        assert ndp.classes == classes
+        for cls, tag in zip(ndp.classes, ndp.tags):
+            inside = {g.has_edge(u, v) for u, v in combinations(cls, 2)}
+            assert inside != {True, False}
+            assert tag == (TRUE_TWINS if inside <= {True} else FALSE_TWINS)
+        assert ndp.quotient == _pairwise_quotient(g, classes)
+        for node in modular_decomposition(g).iter_nodes():
+            if node.kind == PRIME:
+                modules = [c.vertices for c in node.children]
+                assert quotient_graph(g, modules) == node.quotient \
+                    == _pairwise_quotient(g, modules)
 
 
 # -- classification ----------------------------------------------------------

@@ -156,6 +156,15 @@ def test_edgelist_format_details():
     ("0 1\n1 2\n", r"edge #0 \(1,2\) has an endpoint out of range 0\.\.-1"),
     ("", "empty edge-list file"),
     ("# one\n\n  \t\n# two\n", "empty edge-list file"),
+    # more digits than int() converts
+    pytest.param("# c\n" + "1" * 5000 + " 1\n0 1\n",
+                 "line 2: integer too long", id="header-n-of-5000-digits"),
+    pytest.param("3 " + "1" * 5000 + "\n0 1\n", "line 1: integer too long",
+                 id="header-m-of-5000-digits"),
+    pytest.param("3 2\n0 1\n0 " + "1" * 5000 + "\n",
+                 "edge #1: integer too long", id="endpoint-of-5000-digits"),
+    pytest.param("3 1\n1 " + "0" * 5000 + "1\n",
+                 "edge #0: integer too long", id="self-loop-of-5001-digits"),
 ])
 def test_edgelist_errors(text, message):
     with pytest.raises(GraphError, match=f"^{message}"):

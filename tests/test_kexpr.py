@@ -77,6 +77,11 @@ def test_parse_error_position():
     ("v(1))", 4, "trailing input after expression"),
     ("v(1) \nx\n", 6, "trailing input after expression"),
     ("v(1)\udcff", 4, "trailing input after expression"),
+    # more digits than int() converts, at the start of the digit run
+    pytest.param("v(" + "1" * 5000 + ")", 2, "integer too long",
+                 id="label-of-5000-digits"),
+    pytest.param("eta(1," + "2" * 5000 + ",v(1))", 6, "integer too long",
+                 id="eta-label-of-5000-digits"),
 ])
 def test_parse_error_messages_and_positions(text, position, message):
     with pytest.raises(KExprError) as info:
