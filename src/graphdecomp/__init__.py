@@ -2,8 +2,9 @@
 
 Cycle statistics run as dynamic programs over clique-width expressions;
 eccentricities, hyperbolicity, and betweenness centrality run over split
-trees and modular quotients; maximum matching runs over modular
-decomposition with witness subgraphs and over the few-P4 quotient classes.
+trees, or over kernel trees read off the twin classes or the modular
+tree; maximum matching runs over modular decomposition with witness
+subgraphs and over the few-P4 quotient classes.
 Every fast path has an independent oracle next to it.
 """
 
@@ -12,7 +13,7 @@ from .classify import QuotientClass, classify_prime_graph, effective_q
 from .distances import UNREACHABLE, Distance, Half
 from .ecc import (eccentricities_modular, eccentricities_qq3,
                   eccentricities_split)
-from .bc import betweenness_nd, betweenness_split
+from .bc import betweenness_modular, betweenness_nd, betweenness_split
 from .families import (FamilySpec, GeneratedGraph, gen_family,
                        random_degenerate_split_tree, random_instance)
 from .graph import (DisconnectedGraphError, Graph, GraphError, bfs_distances,

@@ -18,7 +18,9 @@ Python ints.  The local values go into one flat list, and
 ``spread(0, local)`` sends the corrective terms: a slot passes on its local
 value plus the terms arriving at its neighbours.  What it sends through a
 real vertex's slot is that vertex's betweenness, the plain Brandes value on
-the original graph.
+the original graph.  The twin-class and modular methods only build a
+kernel tree (``split_tree_from_nd``, ``split_tree_from_modular``) and run
+the same scheme over it.
 """
 
 from __future__ import annotations
@@ -29,9 +31,9 @@ from math import lcm
 
 from .distances import UNREACHABLE
 from .graph import DisconnectedGraphError, Graph
-from .modular import NDPartition
+from .modular import MDNode, NDPartition
 from .splitdec import (COMPLETE, STAR, SplitComponent, SplitTree,
-                       split_tree_from_nd)
+                       split_tree_from_modular, split_tree_from_nd)
 
 
 # float64 holds every integer below 2^53 exactly
@@ -309,7 +311,9 @@ def betweenness_split(g: Graph, st: SplitTree) -> list[Fraction]:
 
 def betweenness_nd(g: Graph, ndp: NDPartition) -> list[Fraction]:
     _require_connected(g)
-    if g.n == 1:
-        return [Fraction(0)]
-    st = split_tree_from_nd(g, ndp)
-    return betweenness_over_tree(g, st)
+    return betweenness_over_tree(g, split_tree_from_nd(g, ndp))
+
+
+def betweenness_modular(g: Graph, md: MDNode) -> list[Fraction]:
+    _require_connected(g)
+    return betweenness_over_tree(g, split_tree_from_modular(g, md))

@@ -13,15 +13,15 @@ import random
 import sys
 import time
 
-from .bc import betweenness_nd, betweenness_split
+from .bc import betweenness_split
 from .blossom import Matching
 from .classify import effective_q
 from .distances import Half
-from .ecc import eccentricities_modular, eccentricities_qq3, eccentricities_split
+from .ecc import eccentricities_split
 from .families import FAMILY_NAMES, random_instance
 from .graph import (DisconnectedGraphError, Graph, GraphError, read_edgelist,
                     write_edgelist)
-from .hyp import hyperbolicity_nd, hyperbolicity_qq3, hyperbolicity_split
+from .hyp import hyperbolicity_split
 from .kexpr import (dp_girth, dp_triangle_count, kexpr_from_modular,
                     parse_kexpr)
 from .matching import max_matching_modular, max_matching_qq3
@@ -29,7 +29,8 @@ from .modular import modular_decomposition, modular_width, nd_partition
 from .oracles import (oracle_betweenness, oracle_cycle_stats,
                       oracle_eccentricities, oracle_hyperbolicity,
                       oracle_maximum_matching)
-from .splitdec import split_decomposition, split_width
+from .splitdec import (split_decomposition, split_tree_from_modular,
+                       split_tree_from_nd, split_width)
 
 HYP_ORACLE_CAP = 40
 
@@ -83,26 +84,35 @@ def _cw(dp):
     return solve
 
 
+#: the trees the ecc, hyp and bc methods solve over, by method: the split
+#: decomposition, or the kernel tree read off the twin classes or the
+#: modular tree
+TREES = {
+    "split": split_decomposition,
+    "nd": lambda g: split_tree_from_nd(g, nd_partition(g)),
+    "modular": lambda g: split_tree_from_modular(g, modular_decomposition(g)),
+}
+
+
+def _on_trees(solve, oracle, *aliases):
+    """One method per tree builder, each with the problem's one tree
+    solver, then ``aliases``, second names for the modular method, then the
+    oracle."""
+    methods = {name: _on(build, solve) for name, build in TREES.items()}
+    methods.update(dict.fromkeys(aliases, methods["modular"]))
+    methods["oracle"] = oracle
+    return methods
+
+
 #: problem -> method -> solver(graph, oracle cap).  A command's first method
 #: is its default, and ``check`` compares a method with the "oracle" entry.
 METHODS = {
-    "ecc": {
-        "split": _on(split_decomposition, eccentricities_split),
-        "modular": _on(modular_decomposition, eccentricities_modular),
-        "qq3": _on(modular_decomposition, eccentricities_qq3),
-        "oracle": lambda g, cap: oracle_eccentricities(g),
-    },
-    "hyp": {
-        "split": _on(split_decomposition, hyperbolicity_split),
-        "nd": _on(nd_partition, hyperbolicity_nd),
-        "qq3": _on(modular_decomposition, hyperbolicity_qq3),
-        "oracle": lambda g, cap: oracle_hyperbolicity(g, cap=cap),
-    },
-    "bc": {
-        "split": _on(split_decomposition, betweenness_split),
-        "nd": _on(nd_partition, betweenness_nd),
-        "oracle": lambda g, cap: oracle_betweenness(g),
-    },
+    "ecc": _on_trees(eccentricities_split,
+                     lambda g, cap: oracle_eccentricities(g), "qq3"),
+    "hyp": _on_trees(hyperbolicity_split,
+                     lambda g, cap: oracle_hyperbolicity(g, cap=cap), "qq3"),
+    "bc": _on_trees(betweenness_split,
+                    lambda g, cap: oracle_betweenness(g)),
     "match": {
         "modular": _on(modular_decomposition, max_matching_modular),
         "qq3": _on(modular_decomposition, max_matching_qq3),

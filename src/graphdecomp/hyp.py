@@ -1,5 +1,9 @@
 """Four-point hyperbolicity via split decomposition and its kernelizations.
 
+The twin-class and modular methods only build a kernel tree
+(``split_tree_from_nd``, ``split_tree_from_modular``) and run the split
+scheme over it.
+
 The split scheme: the hyperbolicity of the whole graph is the maximum of
 every prime component's own value and, per tree edge, a gap term that
 depends only on whether each side's boundary is a clique and on the
@@ -189,6 +193,8 @@ def component_delta(g: Graph) -> Half:
 
 def hyperbolicity_over_tree(st: SplitTree) -> Half:
     """Max of prime component values and per-edge gap terms."""
+    if st.n < 4:
+        return Half(0)
     comps = st.components
     if len(comps) == 1:
         if comps[0].kind in (COMPLETE, STAR):
@@ -226,25 +232,14 @@ def hyperbolicity_over_tree(st: SplitTree) -> Half:
 
 def hyperbolicity_split(g: Graph, st: SplitTree) -> Half:
     _require_connected(g)
-    if g.n < 4:
-        return Half(0)
     return hyperbolicity_over_tree(st)
-
-
-# -- kernelizations ----------------------------------------------------------
 
 
 def hyperbolicity_nd(g: Graph, ndp: NDPartition) -> Half:
     _require_connected(g)
-    if g.n < 4:
-        return Half(0)
-    st = split_tree_from_nd(g, ndp)
-    return hyperbolicity_over_tree(st)
+    return hyperbolicity_over_tree(split_tree_from_nd(g, ndp))
 
 
 def hyperbolicity_qq3(g: Graph, md: MDNode) -> Half:
     _require_connected(g)
-    if g.n < 4:
-        return Half(0)
-    st = split_tree_from_modular(g, md)
-    return hyperbolicity_over_tree(st)
+    return hyperbolicity_over_tree(split_tree_from_modular(g, md))

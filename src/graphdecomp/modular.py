@@ -27,6 +27,7 @@ and neither does ``MDNode.to_json``.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -179,17 +180,15 @@ def modular_width(md: MDNode) -> int:
 
 
 def is_module(g: Graph, vertices) -> bool:
-    masks = g.masks()
-    mod = 0
-    for v in vertices:
-        mod |= 1 << v
-    for z in range(g.n):
-        if mod >> z & 1:
-            continue
-        inter = masks[z] & mod
-        if inter and inter != mod:
-            return False
-    return True
+    """Whether every vertex outside ``vertices`` sees all of it or none.
+
+    Each outside neighbour of the set counts the set vertices it sees; the
+    set is a module exactly when every count is 0 or |M|.  The cost is
+    O(|M| + sum of the degrees over M).
+    """
+    inside = set(vertices)
+    seen = Counter(w for v in inside for w in g.adj[v] if w not in inside)
+    return all(count == len(inside) for count in seen.values())
 
 
 def quotient_graph(g: Graph, modules: Sequence[Sequence[int]]) -> Graph:

@@ -71,6 +71,15 @@ def test_every_tree_node_is_a_module(rng):
                 assert vs == list(node.vertices)
 
 
+def test_is_module_one_outside_vertex_splits_the_set():
+    # in the path 0 - 1 - 2, vertex 0 sees 1 and not 2, and vertex 1
+    # sees both 0 and 2
+    g = path(3)
+    assert not is_module(g, (1, 2))
+    assert is_module(g, (0, 2))
+    assert is_module(g, (0, 1, 2)) and is_module(g, (2,))
+
+
 def test_prime_quotients_are_prime(rng):
     # cycles from C_5, their complements and paths from P_4 are prime:
     # every child of the root is a leaf, so each vertex is a pivot once

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from graphdecomp import (DisconnectedGraphError, FamilySpec, build_graph,
-                         betweenness_nd, betweenness_split, dp_girth,
+                         betweenness_modular, betweenness_nd,
+                         betweenness_split, dp_girth,
                          eccentricities_modular, eccentricities_qq3,
                          eccentricities_split, effective_q, gen_family,
                          hyperbolicity_nd, hyperbolicity_qq3,
@@ -18,10 +19,12 @@ from graphdecomp import (DisconnectedGraphError, FamilySpec, build_graph,
                          random_instance, split_decomposition, split_width,
                          substitute)
 from graphdecomp.distances import Half
+from graphdecomp.families import FAMILY_NAMES
 from graphdecomp.graph import Graph
 from graphdecomp.hyp import four_point_delta
 from graphdecomp.modular import SERIES
-from graphdecomp.splitdec import COMPLETE, PRIME, STAR, SplitTree
+from graphdecomp.splitdec import (COMPLETE, PRIME, STAR, SplitTree,
+                                 split_tree_from_nd)
 
 from conftest import (ALL_FAMILIES, PETERSEN, alternating_chain,
                       alternating_chain_graph, caterpillar_split_tree,
@@ -488,6 +491,24 @@ def test_bc_planted_twin_classes(rng):
 
 
 # -- kernel consistency ------------------------------------------------------
+
+
+def test_kernel_trees_on_every_family(rng):
+    # ecc over both kernel trees, whole Python ints; bc over the modular
+    # kernel tree
+    for family in FAMILY_NAMES:
+        for n in (5, 17, 40):
+            g = random_instance(family, n, rng).graph
+            md = modular_decomposition(g)
+            want = oracle_eccentricities(g)
+            for got in (eccentricities_modular(g, md),
+                        eccentricities_qq3(g, md),
+                        eccentricities_split(
+                            g, split_tree_from_nd(g, nd_partition(g)))):
+                assert got == want, (family, n)
+                assert all(type(x) is int for x in got)
+            if g.n <= 40:
+                assert betweenness_modular(g, md) == oracle_betweenness(g)
 
 
 def test_split_and_modular_agree_everywhere(rng):
