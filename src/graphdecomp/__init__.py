@@ -8,7 +8,8 @@ subgraphs and over the few-P4 quotient classes.
 Every fast path has an independent oracle next to it.
 """
 
-from .blossom import Matching, augment, find_augmenting_path, maximum_matching
+from .blossom import (Matching, certifies_maximum, maximum_matching,
+                      tutte_berge_set)
 from .classify import QuotientClass, classify_prime_graph, effective_q
 from .distances import UNREACHABLE, Distance, Half
 from .ecc import (eccentricities_modular, eccentricities_qq3,

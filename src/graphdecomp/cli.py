@@ -319,7 +319,8 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     def oracle_cap(p):
-        p.add_argument("--oracle-cap", type=int, default=HYP_ORACLE_CAP)
+        p.add_argument("--oracle-cap", type=_at_least(0),
+                       default=HYP_ORACLE_CAP)
 
     p = sub.add_parser("ecc", help="per-vertex eccentricities")
     common(p, "ecc")

@@ -39,8 +39,7 @@ COLLECT_WITNESS_STATS = False
 
 
 def reduce_module_edges(g: Graph, modules: list[list[int]],
-                        module_matchings: list[list[tuple[int, int]]],
-                        strict: bool = False) -> Graph:
+                        module_matchings: list[list[tuple[int, int]]]) -> Graph:
     """Replace every module's interior edges by its matching edges."""
     module_of = {}
     for i, mod in enumerate(modules):
@@ -51,12 +50,7 @@ def reduce_module_edges(g: Graph, modules: list[list[int]],
         if module_of.get(u) == module_of.get(v) and module_of.get(u) is not None:
             continue
         keep.append((u, v))
-    for i, edges in enumerate(module_matchings):
-        if strict:
-            sub, back = g.induced(modules[i])
-            best = maximum_matching(sub).cardinality()
-            if len(edges) != best:
-                raise GraphError(f"module {i} matching is not maximum")
+    for edges in module_matchings:
         keep.extend(edges)
     return build_graph(g.n, keep)
 
@@ -158,13 +152,13 @@ def _module_interior_edges(module: list[int], fm_partner: dict[int, int]):
             yield (u, v)
 
 
-def _witness_loop(g: Graph, modules: list[list[int]], quotient: Graph,
-                  mate: list, audit: bool = False) -> None:
+def _witness_loop(modules: list[list[int]], quotient: Graph,
+                  mate: list) -> None:
     """Solve witness subgraphs to maximum until a witness gains nothing.
 
     Each round matches its witness maximum from the retained matching and
     writes the new mates back.  That is sound: a witness vertex's mate is
-    a witness vertex, every witness edge is an edge of ``g`` (quotient
+    a witness vertex, every witness edge is an edge of the graph (quotient
     neighbours are completely joined, partner edges are retained matching
     edges), and the witness matching grows only by augmenting paths inside
     the witness, each of which augments the global matching too.  A round
@@ -190,28 +184,19 @@ def _witness_loop(g: Graph, modules: list[list[int]], quotient: Graph,
         gain = best.cardinality() - wg.matching.cardinality()
         if not gain:
             return
-        before = Matching(mate).cardinality() if audit else 0
         for i, w in enumerate(best.mate):
             mate[wg.vertices[i]] = None if w is None else wg.vertices[w]
-        if audit:
-            after = Matching(mate)
-            after.validate(g)
-            if after.cardinality() != before + gain:
-                raise GraphError("witness round changed the matching by "
-                                 "other than the witness's gain")
 
 
 # -------------------------------------------------------------------------
 # the modular-width algorithm
 
 
-def max_matching_modular(g: Graph, md: MDNode | None = None,
-                         audit: bool = False) -> Matching:
-    return _max_matching(g, md, audit, by_class=False)
+def max_matching_modular(g: Graph, md: MDNode | None = None) -> Matching:
+    return _max_matching(g, md, by_class=False)
 
 
-def _max_matching(g: Graph, md: MDNode | None, audit: bool,
-                  by_class: bool) -> Matching:
+def _max_matching(g: Graph, md: MDNode | None, by_class: bool) -> Matching:
     """Solve every strong module after the modules below it.
 
     ``iter_nodes`` lists each node before its descendants, so the reversed
@@ -246,11 +231,11 @@ def _max_matching(g: Graph, md: MDNode | None, audit: bool,
     mate: list = [None] * g.n
     for node in reversed(list(md.iter_nodes())):
         if node.kind == SERIES:
-            match_join(g, mate, *(c.vertices for c in node.children))
+            match_join(mate, *(c.vertices for c in node.children))
         elif node.kind == PRIME and not (
-                by_class and _solve_prime_by_class(g, node, mate, audit)):
+                by_class and _solve_prime_by_class(g, node, mate)):
             modules = [list(c.vertices) for c in node.children]
-            _witness_loop(g, modules, node.quotient, mate, audit)
+            _witness_loop(modules, node.quotient, mate)
     out = Matching(mate)
     out.validate(g)
     return out
@@ -260,8 +245,8 @@ def _max_matching(g: Graph, md: MDNode | None, audit: bool,
 # reduction rules for the few-P4 cases
 
 
-def pending_module_rule(g: Graph, module: list[int], pivot: int,
-                        mate: list) -> tuple[list[tuple[int, int]], set[int]]:
+def pending_module_rule(module: list[int], pivot: int, mate: list
+                        ) -> tuple[list[tuple[int, int]], set[int]]:
     """Commit the pending-module reduction; returns (new edges, discarded).
 
     The module's interior matching is kept; if it is not perfect, the
@@ -284,8 +269,7 @@ def pending_module_rule(g: Graph, module: list[int], pivot: int,
     return added, discarded
 
 
-def split_and_match(g: Graph, mate: list, side_m: list[int],
-                    side_n: list[int]) -> int:
+def split_and_match(mate: list, side_m: list[int], side_n: list[int]) -> int:
     """Exhaust MATCH then SPLIT between a module and its neighborhood.
 
     Returns the number of operations applied.  ``side_n`` must be joined
@@ -331,7 +315,7 @@ def _match_then_split(mate: list, free_m: list[int], free_n: list[int],
         ops += 1
 
 
-def match_join(g: Graph, mate: list, *sides: list[int]) -> None:
+def match_join(mate: list, *sides: list[int]) -> None:
     """Make the matching maximum on the complete join of solved sides.
 
     The sides are joined one at a time.  The unmatched vertices and the
@@ -379,25 +363,20 @@ def match_disc(g: Graph, cycle_order: list[int], is_cocycle: bool,
         mate[v] = u
 
 
-def match_spider(g: Graph, s_list: list[int], k_list: list[int],
-                 matching: dict[int, int], thick: bool, mate: list) -> None:
-    """Perfect S-K matching on top of the head's matching (Lemma form)."""
-    if thick:
-        k_order = [matching[s] for s in s_list]
-        size = len(s_list)
-        for t, s in enumerate(s_list):
-            partner = k_order[(t + 1) % size]
-            if not g.has_edge(s, partner):
-                raise StructuralError("thick spider pairing used a non-edge")
-            mate[s] = partner
-            mate[partner] = s
-    else:
-        for s in s_list:
-            partner = matching[s]
-            if not g.has_edge(s, partner):
-                raise StructuralError("thin spider pairing used a non-edge")
-            mate[s] = partner
-            mate[partner] = s
+def match_spider(g: Graph, s_list: list[int], matching: dict[int, int],
+                 thick: bool, mate: list) -> None:
+    """Perfect S-K matching on top of the head's matching (Lemma form).
+
+    A thin spider pairs each S vertex with its own K vertex, a thick one
+    with the K vertex of the next S vertex in ``s_list``, cyclically.
+    """
+    for t, s in enumerate(s_list):
+        partner = matching[s_list[(t + thick) % len(s_list)]]
+        if not g.has_edge(s, partner):
+            kind = "thick" if thick else "thin"
+            raise StructuralError(f"{kind} spider pairing used a non-edge")
+        mate[s] = partner
+        mate[partner] = s
 
 
 # -------------------------------------------------------------------------
@@ -440,7 +419,7 @@ def _pending_stage(g: Graph, module: list[int], alive: set[int],
     if len(nb) != 1:
         raise StructuralError("pending module has more than one neighbor")
     pivot = next(iter(nb))
-    _, discarded = pending_module_rule(g, module, pivot, mate)
+    _, discarded = pending_module_rule(module, pivot, mate)
     return discarded
 
 
@@ -533,12 +512,12 @@ def _match_pk_bar(g: Graph, node: MDNode, witness: dict, mate: list) -> None:
         progress = False
         for mod in fat:
             nb = sorted(_neighborhood_in(g, set(mod), scope))
-            if split_and_match(g, mate, mod, nb):
+            if split_and_match(mate, mod, nb):
                 progress = True
 
 
 def _match_qk(g: Graph, node: MDNode, witness: dict, mate: list,
-              bar: bool, audit: bool) -> None:
+              bar: bool) -> None:
     roles = witness["roles"]
     k = witness["k"]
     mods = _roles_to_modules(node, roles)
@@ -564,7 +543,7 @@ def _match_qk(g: Graph, node: MDNode, witness: dict, mate: list,
             region = set(alive)
             for mod in u_prev:
                 region |= set(mod)
-            _solve_region_modular(g, sorted(region), mate, audit)
+            _solve_region_modular(g, sorted(region), mate)
             break
         pend_name = f"v{2 * i}" if bar else f"v{2 * i - 1}"
         anchor_name = f"v{2 * i + 1}" if bar else f"v{2 * i}"
@@ -600,12 +579,11 @@ def _match_qk(g: Graph, node: MDNode, witness: dict, mate: list,
     for u_mods, region in reversed(joins):
         flat = [v for mod in u_mods for v in mod]
         if len(u_mods) == 2:
-            match_join(g, mate, u_mods[0], u_mods[1])
-        match_join(g, mate, flat, sorted(region))
+            match_join(mate, u_mods[0], u_mods[1])
+        match_join(mate, flat, sorted(region))
 
 
-def _solve_region_modular(g: Graph, region: list[int], mate: list,
-                          audit: bool) -> None:
+def _solve_region_modular(g: Graph, region: list[int], mate: list) -> None:
     if not region:
         return
     region_set = set(region)
@@ -613,7 +591,7 @@ def _solve_region_modular(g: Graph, region: list[int], mate: list,
         if mate[v] is not None and mate[v] not in region_set:
             raise StructuralError("base region matched across its boundary")
     sub, back = g.induced(region)
-    local = max_matching_modular(sub, audit=audit)
+    local = max_matching_modular(sub)
     for v in region:
         mate[v] = None
     for u, v in local.edges():
@@ -621,16 +599,16 @@ def _solve_region_modular(g: Graph, region: list[int], mate: list,
         mate[back[v]] = back[u]
 
 
-def max_matching_prime_ptree(g: Graph, node: MDNode, cls, mate: list,
-                             audit: bool = False) -> None:
+def max_matching_prime_ptree(g: Graph, node: MDNode, cls,
+                             mate: list) -> None:
     if cls.tag == SPIKED_PK:
         _match_pk(g, node, cls.witness, mate)
     elif cls.tag == SPIKED_PK_BAR:
         _match_pk_bar(g, node, cls.witness, mate)
     elif cls.tag == SPIKED_QK:
-        _match_qk(g, node, cls.witness, mate, bar=False, audit=audit)
+        _match_qk(g, node, cls.witness, mate, bar=False)
     elif cls.tag == SPIKED_QK_BAR:
-        _match_qk(g, node, cls.witness, mate, bar=True, audit=audit)
+        _match_qk(g, node, cls.witness, mate, bar=True)
     else:
         raise StructuralError(f"not a prime p-tree class: {cls.tag}")
 
@@ -639,13 +617,11 @@ def max_matching_prime_ptree(g: Graph, node: MDNode, cls, mate: list,
 # the (q, q-3) algorithm
 
 
-def max_matching_qq3(g: Graph, md: MDNode | None = None,
-                     audit: bool = False) -> Matching:
-    return _max_matching(g, md, audit, by_class=True)
+def max_matching_qq3(g: Graph, md: MDNode | None = None) -> Matching:
+    return _max_matching(g, md, by_class=True)
 
 
-def _solve_prime_by_class(g: Graph, node: MDNode, mate: list,
-                          audit: bool) -> bool:
+def _solve_prime_by_class(g: Graph, node: MDNode, mate: list) -> bool:
     """Match a prime node by its quotient class's procedure, if one applies.
 
     A class procedure runs only where it allows every nontrivial module;
@@ -661,16 +637,14 @@ def _solve_prime_by_class(g: Graph, node: MDNode, mate: list,
         return True
     if (cls.tag in (THIN_SPIDER, THICK_SPIDER)
             and fat.isdisjoint(wit["S"] + wit["K"])):
-        s_list = [node.children[q].vertices[0] for q in wit["S"]]
-        k_map = {q: node.children[q].vertices[0] for q in wit["K"]}
-        matching = {node.children[s].vertices[0]: k_map[wit["matching"][s]]
-                    for s in wit["S"]}
-        match_spider(g, s_list, list(k_map.values()), matching,
+        first = [c.vertices[0] for c in node.children]
+        matching = {first[s]: first[wit["matching"][s]] for s in wit["S"]}
+        match_spider(g, [first[s] for s in wit["S"]], matching,
                      wit["thick"], mate)
         return True
     if cls.tag in (SPIKED_PK, SPIKED_PK_BAR, SPIKED_QK, SPIKED_QK_BAR):
         allowed = _fat_roles(wit, qk=cls.tag in (SPIKED_QK, SPIKED_QK_BAR))
         if fat <= {q for name, q in wit["roles"].items() if name in allowed}:
-            max_matching_prime_ptree(g, node, cls, mate, audit)
+            max_matching_prime_ptree(g, node, cls, mate)
             return True
     return False

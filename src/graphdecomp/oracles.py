@@ -11,7 +11,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import prod
 
-from .blossom import Matching, maximum_matching
+from .blossom import (Matching, certifies_maximum, maximum_matching,
+                      tutte_berge_set)
 from .distances import UNREACHABLE, Distance, Half
 from .graph import DisconnectedGraphError, Graph, GraphError, bfs_distances
 
@@ -171,8 +172,15 @@ def oracle_betweenness(g: Graph) -> list[Fraction]:
 
 
 def oracle_maximum_matching(g: Graph) -> Matching:
-    """Maximum matching via the blossom engine (certified optimum)."""
-    return maximum_matching(g)
+    """Blossom's matching, proved maximum by a check independent of it.
+
+    ``certifies_maximum`` tests its Tutte–Berge set; a failure raises
+    ``GraphError``.
+    """
+    m = maximum_matching(g)
+    if not certifies_maximum(g, m, tutte_berge_set(g, m)):
+        raise GraphError("blossom matching failed its Tutte-Berge check")
+    return m
 
 
 def exhaustive_maximum_matching_size(g: Graph) -> int:

@@ -1,63 +1,44 @@
 import pytest
 
-from graphdecomp import (GraphError, Matching, augment, build_graph,
-                         find_augmenting_path, maximum_matching)
+from graphdecomp import (GraphError, Matching, build_graph, certifies_maximum,
+                         maximum_matching, tutte_berge_set)
 from graphdecomp.oracles import exhaustive_maximum_matching_size
 
 from conftest import cycle, path
 
 
+def _certified_maximum(g, f):
+    """Blossom from the matching ``f``; checked by brute force and by U."""
+    got = maximum_matching(g, f)
+    got.validate(g)
+    assert got.cardinality() == exhaustive_maximum_matching_size(g)
+    assert certifies_maximum(g, got, tutte_berge_set(g, got))
+    return got
+
+
 def test_p3_single_step():
-    g = path(3)
-    f = Matching.empty(3)
-    p = find_augmenting_path(g, f)
-    assert p is not None and len(p) == 2
-    f = augment(f, p, g)
-    assert f.cardinality() == 1
+    assert _certified_maximum(path(3), Matching.empty(3)).cardinality() == 1
 
 
 def test_c4_reaches_perfect_matching():
-    g = cycle(4)
-    f = Matching([None, 2, 1, None])
-    p = find_augmenting_path(g, f)
-    assert p is not None
-    f = augment(f, p, g)
-    f.validate(g)
-    assert f.cardinality() == 2
+    got = _certified_maximum(cycle(4), Matching([None, 2, 1, None]))
+    assert got.cardinality() == 2
 
 
 def test_forced_length_three_path():
-    g = path(4)
-    f = Matching([None, 2, 1, None])
-    p = find_augmenting_path(g, f)
-    assert p == [0, 1, 2, 3] or p == [3, 2, 1, 0]
-    f = augment(f, p, g)
-    f.validate(g)
-    assert f.cardinality() == 2
+    # the only augmenting path is 0-1-2-3, which leaves P4's one perfect
+    # matching
+    got = _certified_maximum(path(4), Matching([None, 2, 1, None]))
+    assert got.mate == [1, 0, 3, 2]
 
 
 def test_blossom_contraction_instance():
     # C5 with a pendant, matched so the search must shrink the odd cycle
     g = build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5)])
     f = Matching([1, 0, 3, 2, None, None])
-    p = find_augmenting_path(g, f)
-    assert p is not None
-    f = augment(f, p, g)
-    f.validate(g)
-    assert f.cardinality() == 3
-    assert find_augmenting_path(g, f) is None
-
-
-def test_augment_rejects_bad_paths():
-    g = path(4)
-    f = Matching.empty(4)
     with pytest.raises(GraphError):
-        augment(f, [0], g)
-    with pytest.raises(GraphError):
-        augment(f, [0, 2], g)          # not an edge
-    f2 = Matching([1, 0, None, None])
-    with pytest.raises(GraphError):
-        augment(f2, [0, 1], g)         # endpoints matched
+        tutte_berge_set(g, f)
+    assert _certified_maximum(g, f).cardinality() == 3
 
 
 def test_incremental_path_search_reaches_optimum(rng):
@@ -65,14 +46,7 @@ def test_incremental_path_search_reaches_optimum(rng):
         n = rng.randint(1, 9)
         g = build_graph(n, [(u, v) for u in range(n)
                             for v in range(u + 1, n) if rng.random() < 0.5])
-        f = Matching.empty(n)
-        while True:
-            p = find_augmenting_path(g, f)
-            if p is None:
-                break
-            f = augment(f, p, g)
-        f.validate(g)
-        assert f.cardinality() == exhaustive_maximum_matching_size(g)
+        _certified_maximum(g, Matching.empty(n))
 
 
 def test_warm_start(rng):

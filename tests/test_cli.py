@@ -299,6 +299,8 @@ def test_flags_only_where_read(spider_file):
      "argument --n: must be at least 1, got -3"),
     (["gen", "--family", "er", "--n", "0", "--seed", "1"],
      "argument --n: must be at least 1, got 0"),
+    (["hyp", "--method", "oracle", "--oracle-cap", "-1"],
+     "argument --oracle-cap: must be at least 0, got -1"),
 ])
 def test_counts_out_of_range_are_usage_errors(capsys, args, message):
     with pytest.raises(SystemExit) as exc:

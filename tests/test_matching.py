@@ -3,13 +3,16 @@ import random
 import pytest
 
 import graphdecomp.matching as matching_mod
-from graphdecomp import (FamilySpec, Matching, StructuralError, build_graph,
-                         build_witness, classify_prime_graph, gen_family,
-                         match_disc, match_spider, max_matching_modular,
+from graphdecomp import (FamilySpec, GraphError, Matching, StructuralError,
+                         build_graph, build_witness, certifies_maximum,
+                         classify_prime_graph, gen_family, match_disc,
+                         match_spider, max_matching_modular,
                          max_matching_prime_ptree, max_matching_qq3,
-                         modular_decomposition, oracle_maximum_matching,
-                         pending_module_rule, random_instance,
-                         reduce_module_edges, split_and_match, substitute)
+                         maximum_matching, modular_decomposition,
+                         oracle_maximum_matching, pending_module_rule,
+                         random_instance, reduce_module_edges,
+                         split_and_match, substitute, tutte_berge_set)
+from graphdecomp.families import FAMILY_NAMES
 from graphdecomp.matching import match_join
 from graphdecomp.oracles import exhaustive_maximum_matching_size
 
@@ -26,8 +29,9 @@ def test_reduce_module_edges_examples():
     for mod in modules:
         sub, back = g.induced(mod)
         mm = oracle_maximum_matching(sub)
+        assert certifies_maximum(sub, mm, tutte_berge_set(sub, mm))
         mms.append([(back[u], back[v]) for u, v in mm.edges()])
-    reduced = reduce_module_edges(g, modules, mms, strict=True)
+    reduced = reduce_module_edges(g, modules, mms)
     k4 = set(modules[0])
     inner = [e for e in reduced.edges() if set(e) <= k4]
     assert len(inner) == 2
@@ -37,19 +41,16 @@ def test_reduce_module_edges_examples():
 
 def test_pending_module_rules():
     # pendant vertex: classic rule
-    g = path(3)
     mate = [None, None, None]
-    added, discarded = pending_module_rule(g, [0], 1, mate)
+    added, discarded = pending_module_rule([0], 1, mate)
     assert added == [(0, 1)] and discarded == {0, 1}
     # perfect inner matching keeps the pivot
-    g2 = substitute(path(2), [complete(2), build_graph(1, [])])
     mate = [1, 0, None]
-    added, discarded = pending_module_rule(g2, [0, 1], 2, mate)
+    added, discarded = pending_module_rule([0, 1], 2, mate)
     assert added == [] and discarded == {0, 1}
     # 3K1 module: one pivot edge, everything retired
-    g3 = substitute(path(2), [build_graph(3, []), build_graph(1, [])])
     mate = [None] * 4
-    added, discarded = pending_module_rule(g3, [0, 1, 2], 3, mate)
+    added, discarded = pending_module_rule([0, 1, 2], 3, mate)
     assert added == [(0, 3)] and discarded == {0, 1, 2, 3}
 
 
@@ -57,13 +58,15 @@ def test_split_and_match_join():
     # join of two stable triples: perfect matching by MATCH alone
     g = substitute(complete(2), [build_graph(3, []), build_graph(3, [])])
     mate = [None] * 6
-    match_join(g, mate, [0, 1, 2], [3, 4, 5])
+    match_join(mate, [0, 1, 2], [3, 4, 5])
+    Matching(mate).validate(g)
     assert sum(1 for v in mate if v is not None) == 6
     # SPLIT fires: matched K2 against two isolated vertices
     g = substitute(complete(2), [complete(2), build_graph(2, [])])
     mate = [1, 0, None, None]
-    ops = split_and_match(g, mate, [2, 3], [0, 1])
+    ops = split_and_match(mate, [2, 3], [0, 1])
     assert ops == 1
+    Matching(mate).validate(g)
     assert Matching(mate).cardinality() == 2
 
 
@@ -83,7 +86,7 @@ def test_split_and_match_reaches_oracle(rng):
         for u, v in oracle_maximum_matching(b).edges():
             mate[a.n + u] = a.n + v
             mate[a.n + v] = a.n + u
-        match_join(g, mate, va, vb)
+        match_join(mate, va, vb)
         got = Matching(mate)
         got.validate(g)
         assert got.cardinality() == oracle_maximum_matching(g).cardinality()
@@ -110,7 +113,7 @@ def test_match_spider_cases():
     g = thin.graph
     mate = [None] * g.n
     ann = thin.annotations["spider"]
-    match_spider(g, ann["S"], ann["K"], ann["matching"], False, mate)
+    match_spider(g, ann["S"], ann["matching"], False, mate)
     m = Matching(mate)
     m.validate(g)
     assert m.cardinality() == 3
@@ -179,12 +182,12 @@ def test_witness_equivalence_with_oracle(rng):
         reduced = reduce_module_edges(
             g, modules,
             [[(u, v) for u, v in _pairs(fm, mod)] for mod in modules])
-        from graphdecomp import find_augmenting_path
         wg = build_witness(modules, md.quotient, fm, mate)
-        path_w = find_augmenting_path(wg.graph, wg.matching)
+        gains = (maximum_matching(wg.graph, wg.matching).cardinality()
+                 > wg.matching.cardinality())
         best = oracle_maximum_matching(reduced).cardinality()
         current = Matching(mate).cardinality()
-        assert (path_w is not None) == (current < best)
+        assert gains == (current < best)
 
 
 def _pairs(fm, mod):
@@ -197,14 +200,49 @@ def _pairs(fm, mod):
             yield (u, v)
 
 
-def test_module_match_book_audit(rng):
+def test_module_match_book_audit(rng, monkeypatch):
+    # every witness round starts from a valid matching of g, and each
+    # round that gains writes back exactly the witness's gain
+    rounds = []
+    real_build, real_solve = (matching_mod.build_witness,
+                              matching_mod.maximum_matching)
+
+    def build(modules, quotient, fm_partner, mate):
+        now = Matching(mate)
+        now.validate(g)
+        rounds.append([now.cardinality(), None])
+        return real_build(modules, quotient, fm_partner, mate)
+
+    def solve(wg, initial):
+        best = real_solve(wg, initial)
+        rounds[-1][1] = best.cardinality() - initial.cardinality()
+        return best
+
+    monkeypatch.setattr(matching_mod, "build_witness", build)
+    monkeypatch.setattr(matching_mod, "maximum_matching", solve)
+    graphs = []
     for _ in range(30):
         q = connected_er(rng, rng.randint(2, 5))
         parts = [random_instance("cograph", rng.randint(1, 4), rng,
                                  connected=False).graph for _ in range(q.n)]
-        g = substitute(q, parts)
-        got = max_matching_modular(g, audit=True)   # audits every round
+        graphs.append(substitute(q, parts))
+    # prime nodes whose witness rounds gain
+    for family in ("substitution", "er", "qq3-mix", "distance-hereditary"):
+        graphs += [random_instance(family, rng.randint(10, 60), rng,
+                                   connected=False).graph for _ in range(5)]
+    gains = 0
+    for g in graphs:
+        rounds.clear()
+        got = max_matching_modular(g)
+        assert certifies_maximum(g, got, tutte_berge_set(g, got))
         assert got.cardinality() == oracle_maximum_matching(g).cardinality()
+        # a round that gains is followed by the next round of its loop
+        for (size, gain), (after, _) in zip(rounds, rounds[1:]):
+            if gain:
+                assert after == size + gain
+                gains += 1
+        assert not rounds or rounds[-1][1] == 0
+    assert gains
 
 
 def _count_witness_rounds(monkeypatch) -> list:
@@ -298,6 +336,35 @@ def test_max_matching_modular_matches_oracle(rng):
         assert got.cardinality() == oracle_maximum_matching(g).cardinality()
 
 
+def test_every_matching_method_is_certified_on_every_family(rng):
+    for family in FAMILY_NAMES:
+        for n in (30, 120):
+            g = random_instance(family, n, rng, connected=False).graph
+            for solve in (max_matching_modular, max_matching_qq3,
+                          maximum_matching):
+                got = solve(g)
+                U = tutte_berge_set(g, got)
+                assert certifies_maximum(g, got, U), (family, n, solve)
+            # one edge short of maximum: U no longer attains the bound,
+            # and the forest from the exposed vertices finds a path
+            u, v = got.edges()[rng.randrange(got.cardinality())]
+            short = Matching(got.mate)
+            short.mate[u] = short.mate[v] = None
+            assert not certifies_maximum(g, short, U)
+            with pytest.raises(GraphError):
+                tutte_berge_set(g, short)
+    star = build_graph(5, [(0, leaf) for leaf in range(1, 5)])
+    one = Matching([1, 0, None, None, None])
+    assert tutte_berge_set(star, one) == [0]
+    assert certifies_maximum(star, one, [0])
+    assert not certifies_maximum(star, one, [])            # wrong U
+    assert not certifies_maximum(star, one, [0, 5])        # U off the graph
+    # mate lists that are not matchings of the star
+    for mate in ([1, 0, 0, None, None], [None, 2, 1, None, None],
+                 [1, 0, None, None]):
+        assert not certifies_maximum(star, Matching(mate), [0])
+
+
 def test_disjoint_union_sums_components(rng):
     a = connected_er(rng, 7)
     edges = list(a.edges()) + [(u + 7, v + 7) for u, v in a.edges()]
@@ -312,8 +379,8 @@ def test_max_matching_qq3_families(rng):
                "qq3-mix")[trial % 5]
         g = random_instance(fam, rng.randint(6, 50), rng,
                             connected=False).graph
-        got = max_matching_qq3(g, audit=True)
-        got.validate(g)
+        got = max_matching_qq3(g)
+        assert certifies_maximum(g, got, tutte_berge_set(g, got))
         assert got.cardinality() == oracle_maximum_matching(g).cardinality()
 
 
@@ -330,7 +397,8 @@ def test_qq3_structural_assert_fires():
     cls = classify_prime_graph(md.quotient, check_prime=False)
     with pytest.raises(StructuralError):
         max_matching_prime_ptree(g, md, cls, [None] * g.n)
-    got = max_matching_qq3(g, audit=True)
+    got = max_matching_qq3(g)
+    assert certifies_maximum(g, got, tutte_berge_set(g, got))
     assert got.cardinality() == oracle_maximum_matching(g).cardinality()
 
 
@@ -339,8 +407,8 @@ def test_qq3_falls_back_on_nontrivial_class_modules():
     # quotient whose procedure takes trivial modules only
     parts = [build_graph(2, [])] + [build_graph(1, [])] * 4
     g = substitute(cycle(5), parts)
-    got = max_matching_qq3(g, audit=True)
-    got.validate(g)
+    got = max_matching_qq3(g)
+    assert certifies_maximum(g, got, tutte_berge_set(g, got))
     assert got.cardinality() == max_matching_modular(g).cardinality() == 3
 
 
